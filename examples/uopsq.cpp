@@ -297,10 +297,20 @@ cmdCharacterize(const Args &args)
     options.keep_results = xml_path != nullptr;
 
     core::CharacterizationReport report;
+    const core::SweepMemoTotals memo_before = core::sweepMemoTotals();
     auto catalog = db::runCatalogSweep(*instrs, arches, options,
                                        base.get(), &report);
-    std::printf("%zu tasks, %zu failed\n", report.numTasks(),
-                report.numFailed());
+    const core::SweepMemoTotals memo = core::sweepMemoTotals();
+    const uint64_t hits = memo.hits - memo_before.hits;
+    const uint64_t simulations = memo.misses - memo_before.misses;
+    const uint64_t lookups = hits + simulations;
+    std::printf("%zu tasks, %zu failed, %llu simulations, %.1f%% memo "
+                "hits\n",
+                report.numTasks(), report.numFailed(),
+                static_cast<unsigned long long>(simulations),
+                lookups > 0 ? 100.0 * static_cast<double>(hits) /
+                                  static_cast<double>(lookups)
+                            : 0.0);
 
     if (xml_path != nullptr) {
         std::ofstream xml(*xml_path);

@@ -147,7 +147,49 @@ registerSweepInstruments(obs::Registry &registry,
     return out;
 }
 
+std::atomic<uint64_t> g_memo_hits{0};
+std::atomic<uint64_t> g_memo_misses{0};
+
+/** Export the process-wide memo totals (once per process). */
+void
+registerMemoCounters()
+{
+    static std::once_flag once;
+    std::call_once(once, [] {
+        obs::Registry &registry = obs::Registry::global();
+        registry.counterCallback(
+            "uops_sweep_memo_hits_total",
+            "Sweep measurements served from the shared memo", {},
+            [] { return static_cast<double>(g_memo_hits.load()); });
+        registry.counterCallback(
+            "uops_sweep_memo_misses_total",
+            "Sweep measurements simulated (memo misses)", {},
+            [] { return static_cast<double>(g_memo_misses.load()); });
+    });
+}
+
+/** Adds a sweep's memo counts to the process totals when the sweep
+ *  ends, on the exception path too. */
+struct MemoTally
+{
+    const sim::MeasurementCache *cache;
+
+    ~MemoTally()
+    {
+        if (cache == nullptr)
+            return;
+        g_memo_hits.fetch_add(cache->hits());
+        g_memo_misses.fetch_add(cache->misses());
+    }
+};
+
 } // namespace
+
+SweepMemoTotals
+sweepMemoTotals()
+{
+    return {g_memo_hits.load(), g_memo_misses.load()};
+}
 
 CharacterizationReport
 runBatchSweep(const isa::InstrDb &db,
@@ -172,20 +214,21 @@ runBatchSweep(const isa::InstrDb &db,
                 db, arch, options.characterizer));
     }
 
-    // One shared measurement memo-cache per uarch: the blocking-kernel
-    // and chain-instrument measurements repeat across variants and
-    // workers, and cached results are bit-identical to recomputation,
-    // so sharing changes wall-clock only, never the report.
-    std::vector<std::unique_ptr<sim::MeasurementCache>> memo_caches;
+    // One measurement memo-cache for the whole sweep: the blocking-
+    // kernel and chain-instrument measurements repeat across variants,
+    // workers and identically modeled uarches, the program key carries
+    // the machine model, and cached results are bit-identical to
+    // recomputation, so sharing changes wall-clock only, never the
+    // report.
+    registerMemoCounters();
+    std::unique_ptr<sim::MeasurementCache> memo;
     if (options.share_measurements) {
-        memo_caches.reserve(arches.size());
-        for (size_t a = 0; a < arches.size(); ++a)
-            memo_caches.push_back(
-                std::make_unique<sim::MeasurementCache>());
+        memo = std::make_unique<sim::MeasurementCache>();
         for (auto &per_arch : workers)
-            for (size_t a = 0; a < arches.size(); ++a)
-                per_arch[a]->setMeasurementCache(memo_caches[a].get());
+            for (auto &tool : per_arch)
+                tool->setMeasurementCache(memo.get());
     }
+    MemoTally tally{memo.get()};
 
     // Instrument calibration and blocking-set discovery are a
     // deterministic function of (db, uarch) and dominate per-worker

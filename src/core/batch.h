@@ -82,12 +82,13 @@ struct BatchOptions
     Characterizer::Options characterizer;
 
     /**
-     * Share one measurement memo-cache per uarch across all workers
-     * (sim::MeasurementCache), so byte-identical kernels — the
-     * blocking kernels of Algorithm 1 especially — are simulated once
-     * per uarch instead of once per (variant, worker). Results are
-     * unchanged (cached measurements are bit-identical); disable only
-     * for differential testing or to bound memory.
+     * Share one measurement memo-cache (sim::MeasurementCache) across
+     * all workers and uarches, so every distinct µop program — the
+     * blocking kernels of Algorithm 1 especially, and every kernel of
+     * identically modeled uarches — is simulated once per sweep
+     * instead of once per (variant, worker). Results are unchanged
+     * (cached measurements are bit-identical); disable only for
+     * differential testing or to bound memory.
      */
     bool share_measurements = true;
 
@@ -165,6 +166,21 @@ struct CharacterizationReport
     /** toXml() serialized, including the XML declaration. */
     std::string toXmlString() const;
 };
+
+/**
+ * Measurement-memo totals of every sweep this process has finished:
+ * lookups served from the shared cache, and misses — the simulations
+ * run. obs::Registry::global() exports the same two numbers as the
+ * uops_sweep_memo_hits_total and uops_sweep_memo_misses_total
+ * counters once the first sweep has started.
+ */
+struct SweepMemoTotals
+{
+    uint64_t hits = 0;
+    uint64_t misses = 0;
+};
+
+SweepMemoTotals sweepMemoTotals();
 
 /**
  * Characterize every measurable variant of @p db (subject to the

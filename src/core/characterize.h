@@ -106,8 +106,7 @@ class Characterizer
      * Attach a measurement memo-cache to the harness (nullptr
      * detaches). Cached results are bit-identical to recomputation,
      * so attaching a cache never changes results; the batch engine
-     * shares one cache per uarch across all workers. The cache must
-     * have been built for the same (db, uarch, harness options).
+     * shares one cache across all workers and uarches.
      */
     void setMeasurementCache(sim::MeasurementCache *cache);
 

@@ -24,10 +24,13 @@
  *    pipeline scratch) is per (worker, uarch), created lazily and
  *    touched only by its owning worker — the pool's worker index is
  *    the whole synchronization story. Completed measurements are
- *    memoized in one shared MeasurementCache per uarch, so repeat
- *    kernels after the single-flight window closes still skip the
- *    simulator. Timing is catalog-independent, so these caches
- *    survive generation hot-swaps.
+ *    memoized in one MeasurementCache shared by every worker and
+ *    uarch (its program keys carry the machine model), so repeat
+ *    kernels after the single-flight window closes — and kernels
+ *    that decode to a program already simulated on any identically
+ *    modeled uarch — still skip the simulator. Timing is
+ *    catalog-independent, so the cache survives generation
+ *    hot-swaps.
  *
  * Exceptions from a simulation (validation FatalError, budget
  * overrun) propagate through the shared future to every coalesced
@@ -87,7 +90,7 @@ class PredictEngine
         /** Per-simulation policy (harness config, cycle budget). */
         sim::BlockPredictOptions predict;
 
-        /** Shards of each per-uarch measurement memo. */
+        /** Shards of the measurement memo. */
         size_t sim_cache_shards = 16;
     };
 
@@ -144,9 +147,9 @@ class PredictEngine
     const isa::InstrDb &instrs_;
     Options options_;
 
-    /** Shared memo per uarch (lock-sharded internally). */
-    std::map<uarch::UArch, std::unique_ptr<sim::MeasurementCache>>
-        sim_caches_;
+    /** Measurement memo shared by all workers and uarches
+     *  (lock-sharded internally). */
+    sim::MeasurementCache sim_cache_;
 
     /** Lazily-built simulators, indexed [worker][uarch]; each map is
      *  owned by exactly one pool worker. */

@@ -21,9 +21,9 @@
  *    BlockPredictor owns a private TimingDb rather than sharing one.
  *    An instance is therefore single-threaded like the Pipeline it
  *    wraps — keep one per worker thread — but a MeasurementCache may
- *    be shared across all instances for one uarch (timing is a pure
- *    function of the generation, independent of catalog contents or
- *    serving epoch).
+ *    be shared across all instances, whatever their uarch (its keys
+ *    carry the machine model; timing is a pure function of the
+ *    generation, independent of catalog contents or serving epoch).
  *
  * The measurement itself is exactly Algorithm 2 on the decoded
  * template (sim/harness.h): per-iteration steady-state cycles and
@@ -76,7 +76,7 @@ class BlockPredictor
         return harness_.options();
     }
 
-    /** Share a per-uarch measurement memo (nullptr detaches). */
+    /** Share a measurement memo (nullptr detaches). */
     void setCache(MeasurementCache *cache) { harness_.setCache(cache); }
 
     /**

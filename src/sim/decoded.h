@@ -93,6 +93,9 @@ class DecodedKernel
         return pattern_.size() - prologue_size_ - body_size_;
     }
 
+    /** Decode entries of prologue · body · epilogue, in order. */
+    const std::vector<DecodedInstr> &pattern() const { return pattern_; }
+
     /** Virtual stream length for @p body_reps body copies. */
     size_t
     totalSize(int body_reps) const

@@ -34,6 +34,19 @@ MeasurementHarness::MeasurementHarness(const uarch::TimingDb &timing,
     }
 }
 
+void
+MeasurementHarness::setCache(MeasurementCache *cache)
+{
+    cache_ = cache;
+    if (cache_ == nullptr)
+        return;
+    // Everything but the body is fixed for the harness lifetime, so
+    // its part of the key is interned once per attached cache.
+    const Kernel no_body;
+    DecodedKernel wrapper(timing_, prologue_, no_body, epilogue_);
+    context_id_ = cache_->contextId(options_, pipeline_, wrapper);
+}
+
 PerfCounters
 MeasurementHarness::runOnce(const DecodedKernel &decoded, int n) const
 {
@@ -54,24 +67,24 @@ MeasurementHarness::measure(const Kernel &body) const
 {
     panicIf(body.empty(), "harness: empty benchmark body");
 
+    // Decode the body (µop selection, idiom and fusion analysis) once:
+    // the template keys the memo and, on a miss, is what runs.
+    DecodedKernel decoded(timing_, prologue_, body, epilogue_);
     if (cache_ == nullptr)
-        return measureUncached(body);
+        return simulate(decoded);
 
-    std::string key = MeasurementCache::fingerprint(body, options_);
+    std::string key = MeasurementCache::programKey(context_id_, decoded);
     if (auto hit = cache_->lookup(key))
         return *hit;
-    Measurement m = measureUncached(body);
+    Measurement m = simulate(decoded);
     cache_->insert(key, m);
     return m;
 }
 
 Measurement
-MeasurementHarness::measureUncached(const Kernel &body) const
+MeasurementHarness::simulate(const DecodedKernel &decoded) const
 {
-    // Decode the body (µop selection, idiom and fusion analysis) once;
-    // both unroll factors and all repetitions reuse the template.
-    DecodedKernel decoded(timing_, prologue_, body, epilogue_);
-
+    // Both unroll factors and all repetitions reuse the template.
     if (options_.warmup)
         (void)runOnce(decoded, options_.unroll_small);
 

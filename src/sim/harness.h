@@ -24,10 +24,15 @@
  * Hot path: the body is decoded into a µop template once per measure()
  * call and the pipeline unrolls it logically (sim/decoded.h) — the
  * n-copy kernel is never materialized. When a MeasurementCache is
- * attached (setCache), byte-identical (body, options) measurements are
- * served from the cache; cached results are bit-identical to
- * recomputation because a Measurement is a pure function of the key
- * on a fixed timing database.
+ * attached (setCache), the template is serialized into an exact
+ * program key (the decoded body, Pipeline::appendBodyKey, after the id
+ * of the harness's fixed context: machine model, outcome-affecting
+ * simulator options, Algorithm-2 wrapper and harness options) and a
+ * measurement of an equal program is served from the cache. Bodies
+ * that decode to the same program share one simulation — ADD and SUB
+ * of the same registers, Skylake and its identically modeled
+ * successors — and a hit is bit-identical to recomputation because a
+ * Measurement is a pure function of the key.
  */
 
 #ifndef UOPS_SIM_HARNESS_H
@@ -94,11 +99,11 @@ class MeasurementHarness
     const HarnessOptions &options() const { return options_; }
 
     /**
-     * Attach a measurement memo-cache (nullptr detaches). The cache
-     * must only be shared between harnesses with the same timing
-     * database; it may be shared across threads.
+     * Attach a measurement memo-cache (nullptr detaches). The key
+     * carries the machine model and simulator options, so one cache
+     * may be shared by any harnesses, across uarches and threads.
      */
-    void setCache(MeasurementCache *cache) { cache_ = cache; }
+    void setCache(MeasurementCache *cache);
     MeasurementCache *cache() const { return cache_; }
 
     /**
@@ -110,8 +115,8 @@ class MeasurementHarness
     Measurement measure(const isa::Kernel &body) const;
 
   private:
-    /** measure() without the memo-cache. */
-    Measurement measureUncached(const isa::Kernel &body) const;
+    /** Algorithm 2 on a decoded body, without the memo-cache. */
+    Measurement simulate(const DecodedKernel &decoded) const;
 
     /** One Algorithm-2 run with @p n logical body copies; returns the
      *  counter delta between the two reads. */
@@ -127,6 +132,8 @@ class MeasurementHarness
     isa::Kernel prologue_;
     isa::Kernel epilogue_;
     MeasurementCache *cache_ = nullptr;
+    /** This harness's context in cache_ (MeasurementCache::contextId). */
+    uint32_t context_id_ = 0;
 };
 
 } // namespace uops::sim

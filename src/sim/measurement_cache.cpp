@@ -23,6 +23,19 @@ appendI64(std::string &out, int64_t v)
     appendU64(out, static_cast<uint64_t>(v));
 }
 
+/** Harness options first: results are only comparable under
+ *  identical measurement configuration. */
+void
+appendOptions(std::string &out, const HarnessOptions &options)
+{
+    appendI64(out, options.unroll_small);
+    appendI64(out, options.unroll_large);
+    appendI64(out, options.repetitions);
+    appendI64(out, options.warmup ? 1 : 0);
+    appendU64(out, std::bit_cast<uint64_t>(options.noise_stddev));
+    appendU64(out, options.noise_seed);
+}
+
 } // namespace
 
 MeasurementCache::MeasurementCache(size_t num_shards)
@@ -33,21 +46,39 @@ MeasurementCache::MeasurementCache(size_t num_shards)
         shards_.push_back(std::make_unique<Shard>());
 }
 
+uint32_t
+MeasurementCache::contextId(const HarnessOptions &options,
+                            const Pipeline &pipeline,
+                            const DecodedKernel &wrapper)
+{
+    std::string context;
+    appendOptions(context, options);
+    pipeline.appendContextKey(wrapper, context);
+    std::lock_guard<std::mutex> lock(contexts_mutex_);
+    return contexts_
+        .emplace(std::move(context),
+                 static_cast<uint32_t>(contexts_.size()))
+        .first->second;
+}
+
+std::string
+MeasurementCache::programKey(uint32_t context_id,
+                             const DecodedKernel &decoded)
+{
+    std::string key;
+    key.reserve(16 + decoded.bodySize() * 48);
+    appendU64(key, context_id);
+    Pipeline::appendBodyKey(decoded, key);
+    return key;
+}
+
 std::string
 MeasurementCache::fingerprint(const isa::Kernel &body,
                               const HarnessOptions &options)
 {
     std::string key;
     key.reserve(64 + body.size() * 64);
-
-    // Harness options first: results are only comparable under
-    // identical measurement configuration.
-    appendI64(key, options.unroll_small);
-    appendI64(key, options.unroll_large);
-    appendI64(key, options.repetitions);
-    appendI64(key, options.warmup ? 1 : 0);
-    appendU64(key, std::bit_cast<uint64_t>(options.noise_stddev));
-    appendU64(key, options.noise_seed);
+    appendOptions(key, options);
 
     for (const isa::InstrInstance &inst : body) {
         appendI64(key, inst.variant->id());

@@ -35,6 +35,29 @@ struct UopDyn
     SmallVector<int32_t, 4> dsts;         ///< value ids, per write
 };
 
+/** Merge dependency a write acquires on its destination's old value:
+ *  always for narrow GPR writes, and for legacy-SSE XMM writes while
+ *  the upper YMM state is dirty on uarches with the SSE/AVX
+ *  transition. */
+enum class MergeKind : uint8_t { None, Narrow, LegacySse };
+
+MergeKind
+mergeKind(const InstrInstance &inst, const OpRef &ref)
+{
+    if (ref.kind != OpRef::Kind::Operand)
+        return MergeKind::None;
+    const OperandSpec &op = inst.variant->operand(ref.index);
+    if (op.kind != OpKind::Reg)
+        return MergeKind::None;
+    RegClass cls = op.reg_class;
+    if (cls == RegClass::Gpr8 || cls == RegClass::Gpr8High ||
+        cls == RegClass::Gpr16)
+        return MergeKind::Narrow;
+    if (cls == RegClass::Xmm && !inst.variant->attrs().is_avx)
+        return MergeKind::LegacySse;
+    return MergeKind::None;
+}
+
 } // namespace
 
 /**
@@ -288,20 +311,17 @@ class Core
     int
     mergeUnit(const InstrInstance &inst, const OpRef &ref) const
     {
-        if (ref.kind != OpRef::Kind::Operand)
+        switch (mergeKind(inst, ref)) {
+          case MergeKind::None:
             return -1;
-        const OperandSpec &op = inst.variant->operand(ref.index);
-        if (op.kind != OpKind::Reg)
-            return -1;
-        RegClass cls = op.reg_class;
-        if (cls == RegClass::Gpr8 || cls == RegClass::Gpr8High ||
-            cls == RegClass::Gpr16)
-            return isa::regUnit(inst.regOf(ref.index));
-        // Dirty-upper merge for legacy-SSE XMM writes.
-        if (info_.sse_avx_transition && dirty_upper_ &&
-            cls == RegClass::Xmm && !inst.variant->attrs().is_avx)
-            return isa::regUnit(inst.regOf(ref.index));
-        return -1;
+          case MergeKind::Narrow:
+            break;
+          case MergeKind::LegacySse:
+            if (!info_.sse_avx_transition || !dirty_upper_)
+                return -1;
+            break;
+        }
+        return isa::regUnit(inst.regOf(ref.index));
     }
 
     // ---- issue -------------------------------------------------------
@@ -665,6 +685,126 @@ class Core
     RunResult result_;
 };
 
+/**
+ * Prefix-free serializer behind Pipeline::appendContextKey and
+ * appendBodyKey: integers are zigzag LEB128 varints and every list
+ * carries its length, so distinct programs never produce the same
+ * bytes. Operand references are written as the core resolves them —
+ * rename units, memory tags, temporaries.
+ */
+class KeyWriter
+{
+  public:
+    explicit KeyWriter(std::string &out) : out_(out) {}
+
+    void
+    num(int64_t v)
+    {
+        uint64_t z = (static_cast<uint64_t>(v) << 1) ^
+                     static_cast<uint64_t>(v >> 63);
+        while (z >= 0x80) {
+            out_.push_back(static_cast<char>((z & 0x7f) | 0x80));
+            z >>= 7;
+        }
+        out_.push_back(static_cast<char>(z));
+    }
+
+    /** Unit of @p r; -1 for an invalid register, so the key never
+     *  panics where the core would not. */
+    void
+    reg(const Reg &r)
+    {
+        num(r.valid() ? isa::regUnit(r) : -1);
+    }
+
+    /** An OpRef as Core::expandReads / applyWrite resolve it. */
+    void
+    ref(const InstrInstance &inst, const OpRef &r, bool write)
+    {
+        num(static_cast<int64_t>(r.kind));
+        switch (r.kind) {
+          case OpRef::Kind::Operand: {
+            const OperandSpec &op = inst.variant->operand(r.index);
+            num(static_cast<int64_t>(op.kind));
+            if (op.kind == OpKind::Flags) {
+                std::vector<isa::ArchUnit> units =
+                    write ? op.flags_written.units()
+                          : op.flags_read.units();
+                num(static_cast<int64_t>(units.size()));
+                for (isa::ArchUnit u : units)
+                    num(u);
+            } else if (op.kind == OpKind::Reg) {
+                reg(inst.regOf(static_cast<size_t>(r.index)));
+            }
+            return;
+          }
+          case OpRef::Kind::MemAddr:
+            reg(inst.ops[static_cast<size_t>(r.index)].mem.base);
+            return;
+          case OpRef::Kind::MemData:
+            num(inst.ops[static_cast<size_t>(r.index)].mem.tag);
+            return;
+          case OpRef::Kind::Temp:
+            num(r.index);
+            return;
+        }
+    }
+
+    /** A µop spec with its references resolved against @p inst; each
+     *  write also carries its MergeKind. */
+    void
+    uop(const InstrInstance &inst, const UopSpec &spec)
+    {
+        num(spec.ports);
+        num(spec.latency);
+        num(spec.latency_slow);
+        num(static_cast<int64_t>(spec.domain));
+        num(spec.div_occupancy);
+        num(spec.div_occupancy_slow);
+        num(static_cast<int64_t>(spec.write_extra.size()));
+        for (int extra : spec.write_extra)
+            num(extra);
+        num(static_cast<int64_t>(spec.reads.size()));
+        for (const OpRef &r : spec.reads)
+            ref(inst, r, false);
+        num(static_cast<int64_t>(spec.writes.size()));
+        for (const OpRef &w : spec.writes) {
+            ref(inst, w, true);
+            num(static_cast<int64_t>(mergeKind(inst, w)));
+        }
+    }
+
+    void
+    fused(const InstrInstance &inst, const UopSpec *spec)
+    {
+        num(spec != nullptr ? 1 : 0);
+        if (spec != nullptr)
+            uop(inst, *spec);
+    }
+
+    /** One decode entry; @p with_next false leaves out fused_next. */
+    void
+    entry(const DecodedInstr &d, bool with_next = true)
+    {
+        const InstrInstance &inst = *d.inst;
+        num((d.rename_direct ? 1 : 0) | (d.try_mov_elim ? 2 : 0) |
+            (d.serializing ? 4 : 0) | (d.slow ? 8 : 0));
+        num(static_cast<int64_t>(d.ymm_effect));
+        num(d.skip_unit);
+        num(d.elim_dst_unit);
+        num(d.elim_src_unit);
+        num(static_cast<int64_t>(d.uops->size()));
+        for (const UopSpec &spec : *d.uops)
+            uop(inst, spec);
+        if (with_next)
+            fused(inst, d.fused_next);
+        fused(inst, d.fused_wrap);
+    }
+
+  private:
+    std::string &out_;
+};
+
 } // namespace
 
 Pipeline::Pipeline(const uarch::TimingDb &timing, SimOptions options)
@@ -695,6 +835,50 @@ Pipeline::run(const DecodedKernel &decoded, int body_reps,
     Core core(timing_, info_, options_, decoded, body_reps, markers,
               *scratch_);
     return core.run();
+}
+
+void
+Pipeline::appendContextKey(const DecodedKernel &decoded,
+                           std::string &out) const
+{
+    KeyWriter key(out);
+    // The machine model: every UArchInfo field Core reads (the rest
+    // — fusion, zero-idiom elimination — is already folded into the
+    // decode entries).
+    key.num(info_.num_ports);
+    key.num(info_.issue_width);
+    key.num(info_.retire_width);
+    key.num(info_.rob_size);
+    key.num(info_.rs_size);
+    key.num(info_.bypass_delay);
+    key.num(info_.sse_avx_transition ? 1 : 0);
+    // skip_idle is cycle-exact and stays out of the key.
+    key.num(options_.mov_elim_period);
+    key.num(options_.cycle_budget);
+    key.num(options_.max_cycles);
+
+    const std::vector<DecodedInstr> &pattern = decoded.pattern();
+    const size_t prologue = decoded.prologueSize();
+    key.num(static_cast<int64_t>(prologue));
+    key.num(static_cast<int64_t>(decoded.epilogueSize()));
+    for (size_t i = 0; i < prologue; ++i)
+        key.entry(pattern[i], i + 1 < prologue);
+    for (size_t i = prologue + decoded.bodySize(); i < pattern.size(); ++i)
+        key.entry(pattern[i]);
+}
+
+void
+Pipeline::appendBodyKey(const DecodedKernel &decoded, std::string &out)
+{
+    KeyWriter key(out);
+    const std::vector<DecodedInstr> &pattern = decoded.pattern();
+    const size_t prologue = decoded.prologueSize();
+    key.num(static_cast<int64_t>(decoded.bodySize()));
+    for (size_t i = prologue; i < prologue + decoded.bodySize(); ++i)
+        key.entry(pattern[i]);
+    if (prologue > 0)
+        key.fused(*pattern[prologue - 1].inst,
+                  pattern[prologue - 1].fused_next);
 }
 
 } // namespace uops::sim

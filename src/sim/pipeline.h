@@ -49,6 +49,7 @@
 #define UOPS_SIM_PIPELINE_H
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "isa/kernel.h"
@@ -151,6 +152,25 @@ class Pipeline
      */
     RunResult run(const DecodedKernel &decoded, int body_reps,
                   const std::vector<size_t> &markers = {}) const;
+
+    /**
+     * Exact byte key of the program run(decoded, ...) executes, in two
+     * parts. The context key holds what does not depend on the body:
+     * the UArchInfo fields the core reads, the SimOptions that can
+     * change an outcome, and the decoded prologue and epilogue. The
+     * body key holds the body's decode entries and the one prologue
+     * field that depends on the body (fusion of the last prologue
+     * instruction into the first body instruction). Every entry is
+     * written with its decode flags and µop specs, operand references
+     * resolved to rename units, memory tags and temporaries. Equal
+     * context keys and equal body keys imply identical RunResults for
+     * equal body_reps and markers, whatever the uarch or timing
+     * database behind either pipeline.
+     */
+    void appendContextKey(const DecodedKernel &decoded,
+                          std::string &out) const;
+    static void appendBodyKey(const DecodedKernel &decoded,
+                              std::string &out);
 
   private:
     const uarch::TimingDb &timing_;

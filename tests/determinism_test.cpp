@@ -10,6 +10,12 @@
  *
  *  - a MeasurementCache hit is bit-identical to the cache miss that
  *    populated it, and to an uncached harness;
+ *  - the memo's program key merges exactly the kernels that run the
+ *    same µop program on the same machine model (ADD vs SUB, Skylake
+ *    vs Kaby Lake vs Coffee Lake) and keeps apart every difference the
+ *    core can observe (divider value class, memory aliasing, the
+ *    SSE/AVX transition, move elimination, macro-fusion, the cycle
+ *    budget);
  *  - runBatchSweep XML is byte-identical with the memo-cache on and
  *    off, and across 1 and 4 worker threads;
  *  - logical unrolling over a DecodedKernel reproduces the
@@ -19,6 +25,8 @@
  *    fresh pipeline's results run for run;
  *  - idle-cycle skipping is cycle-exact against plain stepping.
  */
+
+#include <set>
 
 #include <gtest/gtest.h>
 
@@ -128,25 +136,155 @@ TEST(Determinism, FingerprintSeparatesKernelsAndOptions)
 
 TEST(Determinism, SharedCacheIsThreadSafeAndExact)
 {
-    const auto &tdb = timingDb(UArch::Haswell);
+    // One cache shared across threads *and* uarches: Haswell has its
+    // own machine model, the Skylake family shares one.
+    const std::vector<UArch> arches = {UArch::Haswell, UArch::Skylake,
+                                       UArch::KabyLake,
+                                       UArch::CoffeeLake};
     sim::MeasurementCache cache(4);
-    sim::MeasurementHarness reference(tdb);
     auto body = asm_("IMUL RAX, RBX\nADD RCX, RDX");
-    sim::Measurement expected = reference.measure(body);
+    std::vector<sim::Measurement> expected;
+    for (UArch arch : arches) {
+        // Also warms each lazily filled TimingDb before the threads
+        // read it concurrently.
+        sim::MeasurementHarness reference(timingDb(arch));
+        expected.push_back(reference.measure(body));
+    }
 
     ThreadPool pool(4);
     std::vector<sim::Measurement> results(64);
     pool.parallelFor(results.size(), [&](size_t i, size_t) {
         // One harness per task: harnesses are single-threaded, the
         // cache is the shared object under test.
-        sim::MeasurementHarness harness(tdb);
+        sim::MeasurementHarness harness(
+            timingDb(arches[i % arches.size()]));
         harness.setCache(&cache);
         results[i] = harness.measure(body);
     });
     for (size_t i = 0; i < results.size(); ++i)
-        expectMeasurementsIdentical(expected, results[i],
+        expectMeasurementsIdentical(expected[i % arches.size()],
+                                    results[i],
                                     "task " + std::to_string(i));
-    EXPECT_EQ(cache.size(), 1u);
+    EXPECT_EQ(cache.size(), 2u);
+}
+
+// ---------------------------------------------------------------------
+// Program-key coverage: what must share a simulation, what must not.
+// ---------------------------------------------------------------------
+
+/** Measure each (uarch, body) through one shared cache, checking every
+ *  result against an uncached harness; returns the cache misses. */
+uint64_t
+sharedMisses(const std::vector<std::pair<UArch, isa::Kernel>> &runs,
+             std::vector<sim::Measurement> *out = nullptr)
+{
+    sim::MeasurementCache cache;
+    for (const auto &[arch, body] : runs) {
+        sim::MeasurementHarness cached(timingDb(arch));
+        cached.setCache(&cache);
+        sim::MeasurementHarness plain(timingDb(arch));
+        sim::Measurement m = cached.measure(body);
+        expectMeasurementsIdentical(plain.measure(body), m,
+                                    uarch::uarchShortName(arch) + " " +
+                                        isa::kernelToAsm(body));
+        if (out != nullptr)
+            out->push_back(m);
+    }
+    EXPECT_EQ(cache.size(), cache.misses());
+    return cache.misses();
+}
+
+TEST(Determinism, ProgramKeyMergesIdenticalPrograms)
+{
+    // Same µop program, different instructions.
+    EXPECT_EQ(sharedMisses({{UArch::Skylake, asm_("ADD RAX, RBX")},
+                            {UArch::Skylake, asm_("SUB RAX, RBX")}}),
+              1u);
+    // Identical machine models.
+    for (const char *listing :
+         {"IMUL RAX, RBX", "DIV RBX", "CMP RAX, RBX\nJZ 1",
+          "VADDPS YMM0, YMM1, YMM2\nSQRTPS XMM3, XMM4"}) {
+        EXPECT_EQ(sharedMisses({{UArch::Skylake, asm_(listing)},
+                                {UArch::KabyLake, asm_(listing)},
+                                {UArch::CoffeeLake, asm_(listing)}}),
+                  1u)
+            << listing;
+    }
+}
+
+TEST(Determinism, ProgramKeySeparatesObservableDifferences)
+{
+    std::vector<sim::Measurement> m;
+
+    // Divider value class: slow operands take longer.
+    isa::Kernel fast = asm_("DIV RBX");
+    isa::Kernel slow = fast;
+    fast[0].div_class = isa::DivValueClass::Fast;
+    slow[0].div_class = isa::DivValueClass::Slow;
+    EXPECT_EQ(sharedMisses({{UArch::Skylake, fast},
+                            {UArch::Skylake, slow}},
+                           &m),
+              2u);
+    EXPECT_LT(m[0].cycles, m[1].cycles);
+
+    // Memory aliasing: the load of the stored location forms a chain
+    // through memory, a load of another location does not.
+    m.clear();
+    EXPECT_EQ(sharedMisses({{UArch::Skylake,
+                             asm_("MOV [RAX], RBX\nMOV RBX, [RAX]")},
+                            {UArch::Skylake,
+                             asm_("MOV [RAX], RBX\nMOV RBX, [RAX+1]")}},
+                           &m),
+              2u);
+    EXPECT_GT(m[0].cycles, m[1].cycles);
+
+    // SSE/AVX transition: with the upper YMM state dirty, the
+    // legacy-SSE write merges with its destination (a loop-carried
+    // chain); the VEX form of the same µop does not.
+    m.clear();
+    EXPECT_EQ(
+        sharedMisses({{UArch::Haswell,
+                       asm_("VADDPS YMM0, YMM1, YMM2\nSQRTPS XMM3, XMM4")},
+                      {UArch::Haswell,
+                       asm_("VADDPS YMM0, YMM1, YMM2\n"
+                            "VSQRTPS XMM3, XMM4")}},
+                     &m),
+        2u);
+    EXPECT_GT(m[0].cycles, m[1].cycles);
+
+    // Move elimination: Ivy Bridge eliminates reg-reg moves, Sandy
+    // Bridge (otherwise the same machine model) does not.
+    m.clear();
+    EXPECT_EQ(sharedMisses({{UArch::SandyBridge, asm_("MOV RAX, RBX")},
+                            {UArch::IvyBridge, asm_("MOV RAX, RBX")}},
+                           &m),
+              2u);
+    EXPECT_EQ(m[0].uops_eliminated, 0.0);
+    EXPECT_GT(m[1].uops_eliminated, 0.0);
+
+    // Macro-fusion across generations.
+    EXPECT_EQ(sharedMisses({{UArch::Nehalem, asm_("CMP RAX, RBX\nJZ 1")},
+                            {UArch::SandyBridge,
+                             asm_("CMP RAX, RBX\nJZ 1")}}),
+              2u);
+}
+
+TEST(Determinism, ProgramKeySeparatesCycleBudget)
+{
+    const auto &tdb = timingDb(UArch::Skylake);
+    auto body = asm_("DIV RBX");
+    sim::MeasurementCache cache;
+    sim::MeasurementHarness unbudgeted(tdb);
+    unbudgeted.setCache(&cache);
+    (void)unbudgeted.measure(body);
+
+    // The same kernel already sits in the shared cache, but a
+    // budgeted harness must still run it and blow its budget.
+    sim::MeasurementHarness budgeted(tdb, {},
+                                     sim::SimOptions{.cycle_budget = 100});
+    budgeted.setCache(&cache);
+    EXPECT_THROW(budgeted.measure(body), sim::CycleBudgetExceeded);
+    EXPECT_EQ(cache.hits(), 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -159,26 +297,36 @@ TEST(Determinism, BatchXmlByteIdenticalAcrossCacheAndThreads)
         core::BatchOptions o;
         o.num_threads = threads;
         o.share_measurements = share;
+        // Every rename/dispatch special case the program key must
+        // capture: macro-fusible ALU ops (CMP, ADD), move elimination
+        // (MOV, MOVAPS), zero and dependency-breaking idioms (XOR,
+        // PXOR, VPXOR, PCMPGTD), the divider (DIV), SSE/AVX
+        // transitions (SQRTPS next to VSQRTPS) and memory round trips
+        // (the M64 forms of ADD and MOV).
         o.characterizer.filter = [](const isa::InstrVariant &v) {
-            const std::string &m = v.mnemonic();
-            return m == "ADD" || m == "PXOR" || m == "DIV" ||
-                   m == "MOVAPS" || m == "VPXOR";
+            static const std::set<std::string> mnemonics = {
+                "ADD",   "CMP",     "MOV", "MOVAPS", "XOR",     "PXOR",
+                "VPXOR", "PCMPGTD", "DIV", "SQRTPS", "VSQRTPS",
+            };
+            return mnemonics.count(v.mnemonic()) > 0;
         };
         return o;
     };
-    const std::vector<UArch> arches = {UArch::Nehalem, UArch::Skylake};
+    const std::vector<UArch> &arches = uarch::allUArches();
 
+    // The uncached baseline runs on 4 threads (threading never changes
+    // the report either), so the 1-thread run below is cached.
     std::string baseline =
-        core::runBatchSweep(defaultDb(), arches, options(1, false))
+        core::runBatchSweep(defaultDb(), arches, options(4, false))
             .toXmlString();
     EXPECT_EQ(baseline,
               core::runBatchSweep(defaultDb(), arches, options(1, true))
                   .toXmlString())
-        << "memo-cache changed the report";
+        << "1-thread cached sweep changed the report";
     EXPECT_EQ(baseline,
               core::runBatchSweep(defaultDb(), arches, options(4, true))
                   .toXmlString())
-        << "threading changed the report";
+        << "4-thread cached sweep changed the report";
 }
 
 // ---------------------------------------------------------------------

@@ -1544,6 +1544,43 @@ TEST(Observability, MetricsExpositionMatchesRegistry)
     EXPECT_FALSE(parsed.help["uops_http_requests_total"].empty());
 }
 
+TEST(Observability, SweepMemoCountersAreUniqueAcrossRegistries)
+{
+    // A sweep registers the process-wide memo counters in the global
+    // registry; /metrics renders the service's registry followed by
+    // the global one, so no family may appear in both.
+    core::BatchOptions options;
+    options.num_threads = 2;
+    options.characterizer.filter = [](const isa::InstrVariant &v) {
+        return v.mnemonic() == "IMUL";
+    };
+    core::runBatchSweep(defaultDb(), {uarch::UArch::Skylake}, options);
+    core::SweepMemoTotals totals = core::sweepMemoTotals();
+    EXPECT_GT(totals.misses, 0u);
+    EXPECT_GT(totals.hits, 0u);
+
+    auto service = makeService();
+    HttpResponse response = service->handle(get("/metrics"));
+    ASSERT_EQ(response.status, 200);
+    std::map<std::string, int> type_lines;
+    size_t pos = 0;
+    while ((pos = response.body.find("# TYPE ", pos)) !=
+           std::string::npos) {
+        pos += 7;
+        ++type_lines[response.body.substr(
+            pos, response.body.find(' ', pos) - pos)];
+    }
+    for (const auto &[family, count] : type_lines)
+        EXPECT_EQ(count, 1) << family << " rendered by both registries";
+
+    Exposition parsed = parseExposition(response.body);
+    EXPECT_EQ(parsed.type["uops_sweep_memo_hits_total"], "counter");
+    EXPECT_EQ(parsed.series["uops_sweep_memo_hits_total"],
+              static_cast<double>(totals.hits));
+    EXPECT_EQ(parsed.series["uops_sweep_memo_misses_total"],
+              static_cast<double>(totals.misses));
+}
+
 TEST(Observability, StatsReportsSamplesAndNullPercentiles)
 {
     auto service = makeService();
