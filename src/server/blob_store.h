@@ -31,9 +31,10 @@
  *
  * Byte-identity is by construction, not by discipline: the blobs are
  * rendered through the same writeRecordJson / renderUArchsBody code
- * the legacy per-request path used, and the store is the *only*
- * renderer for these endpoints — both the reactor fast path and the
- * thread-pool path serve the same bytes.
+ * /search renders through per request, and the store is the *only*
+ * renderer for /uarchs and /instr — QueryService's single lookup step
+ * answers them whether the request is served inline on a reactor
+ * thread or through handle().
  *
  * Immutable after build(); all accessors are const and thread-safe.
  */

@@ -65,12 +65,25 @@ Conn::next(HttpRequest &request)
 }
 
 bool
-Conn::keepAlive(const HttpRequest &request, bool draining) const
+Conn::scanNext(RequestHead &head)
 {
-    // served_ already counts the request being decided, so the
-    // budget check matches the threaded path's served+1 bound.
-    return wantsKeepAlive(request) && !draining &&
-           served_ < limits_.max_requests;
+    std::string_view buffered = pending();
+    if (buffered.size() > limits_.max_request_bytes)
+        return false;  // next() refuses it
+    std::optional<size_t> head_end = findHeaderEnd(buffered);
+    if (!head_end || !scanFastGet(buffered.substr(0, *head_end), head))
+        return false;
+    scanned_bytes_ = *head_end;
+    return true;
+}
+
+void
+Conn::consumeScanned()
+{
+    in_off_ += scanned_bytes_;
+    scanned_bytes_ = 0;
+    partial_request_ = false;
+    ++served_;
 }
 
 void

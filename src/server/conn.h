@@ -3,9 +3,9 @@
  * Per-connection HTTP/1.1 framing state machine for the reactor.
  *
  * A Conn owns everything about one client connection *except* the
- * socket: the inbound byte buffer, the request parser (the same
- * findHeaderEnd/parseRequestHead/contentLength primitives the
- * threaded transport uses, so the two paths frame identically), the
+ * socket: the inbound byte buffer, the two request parsers over it
+ * (the zero-parse scanFastGet head scan and the full
+ * findHeaderEnd/parseRequestHead/contentLength framing), the
  * keep-alive/pipelining bookkeeping, and the outbound chunk queue.
  * Keeping it socket-free means the whole framing machine — partial
  * heads, pipelined batches, oversize refusals, blob-backed gather
@@ -84,61 +84,38 @@ class Conn
     size_t inputSize() const { return in_.size() - in_off_; }
     bool inputEmpty() const { return in_.size() == in_off_; }
 
-    /** Try to extract the next complete request from the buffer.
-     *  Mirrors the threaded transport's framing exactly: oversize
-     *  buffers and bodies are 413, malformed heads and bad
+    /** Try to extract the next complete request from the buffer:
+     *  oversize buffers and bodies are 413, malformed heads and bad
      *  Content-Length are 400, and a pipelined successor stays
      *  buffered. Ready counts against the per-connection budget. */
     ParseResult next(HttpRequest &request);
 
-    enum class Raw { NoMatch, Served };
-
     /**
-     * Zero-parse fast lane, tried before next(): when the buffer
-     * fronts a complete bodiless HTTP/1.1 GET (scanFastGet) and
-     * @p serve — bool(const FastGetView &, HttpResponse &) — can
-     * answer it from precomputed state, the response is queued, the
-     * request consumed and counted against the budget, all without
-     * materializing an HttpRequest. NoMatch leaves the buffer
-     * untouched; the caller falls back to next(), which remains the
-     * semantic reference (refusals, bodies, HTTP/1.0, partial-input
-     * bookkeeping).
+     * The zero-parse alternative to next(): when the buffer fronts a
+     * complete head scanFastGet() accepts (a bodiless HTTP/1.1 GET),
+     * fill @p head with views into the buffer and return true. The
+     * buffer is left untouched: consumeScanned() takes the request,
+     * or next() parses the same bytes fully. The views stay valid
+     * until the next appendInput().
      */
-    template <typename ServeFn>
-    Raw tryRaw(bool draining, ServeFn &&serve)
-    {
-        std::string_view buffered = pending();
-        if (buffered.empty() ||
-            buffered.size() > limits_.max_request_bytes)
-            return Raw::NoMatch;
-        std::optional<size_t> head_end = findHeaderEnd(buffered);
-        if (!head_end)
-            return Raw::NoMatch;
-        FastGetView view;
-        if (!scanFastGet(buffered.substr(0, *head_end), view))
-            return Raw::NoMatch;
-        HttpResponse response;
-        if (!serve(view, response))
-            return Raw::NoMatch;
-        // Mirrors next(): count before the keep-alive decision so
-        // the budget check matches the threaded path's served+1.
-        ++served_;
-        bool keep_alive = !view.connection_close && !draining &&
-                          served_ < limits_.max_requests;
-        queueResponse(response, keep_alive);
-        in_off_ += *head_end;
-        partial_request_ = false;
-        return Raw::Served;
-    }
+    bool scanNext(RequestHead &head);
+
+    /** Consume the head scanNext() just returned, counting it
+     *  against the per-connection budget. */
+    void consumeScanned();
 
     /** True while the buffer holds the front of an *incomplete*
      *  request (the slow-loris case) — the reactor bounds this with
      *  the receive deadline rather than a blocked worker. */
     bool partialRequest() const { return partial_request_; }
 
-    /** Keep-alive decision for the request just extracted (call
-     *  after next() returned Ready, before queueing/dispatching). */
-    bool keepAlive(const HttpRequest &request, bool draining) const;
+    /** Keep-alive decision for the request just consumed (call
+     *  after next() returned Ready or consumeScanned(), before
+     *  queueing/dispatching); @p close is RequestHead::close. */
+    bool keepAlive(bool close, bool draining) const
+    {
+        return !close && !draining && served_ < limits_.max_requests;
+    }
 
     size_t served() const { return served_; }
 
@@ -205,6 +182,7 @@ class Conn
     std::deque<Chunk> out_;
     size_t out_offset_ = 0;  ///< sent bytes of the front chunk
     size_t served_ = 0;
+    size_t scanned_bytes_ = 0;  ///< head length scanNext() found
     bool partial_request_ = false;
 };
 

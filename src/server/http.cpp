@@ -35,6 +35,67 @@ hexValue(char c)
     return -1;
 }
 
+/** Whether the request-line splitter and the header trimmer treat
+ *  @p c as whitespace: std::isspace in the "C" locale, which the
+ *  program never changes, spelled out so byte scans stay inline. */
+bool
+isSpace(char c)
+{
+    return c == ' ' || (c >= '\t' && c <= '\r');
+}
+
+bool
+hasSpace(std::string_view s)
+{
+    for (char c : s)
+        if (isSpace(c))
+            return true;
+    return false;
+}
+
+/** Whether the request-line splitter reads @p target as one token and
+ *  percentDecode() accepts each of its components: no whitespace, and
+ *  every '%' starts a complete %XX escape. */
+bool
+plainTarget(std::string_view target)
+{
+    for (size_t i = 0; i < target.size(); ++i) {
+        if (isSpace(target[i]))
+            return false;
+        if (target[i] != '%')
+            continue;
+        if (i + 2 >= target.size() || hexValue(target[i + 1]) < 0 ||
+            hexValue(target[i + 2]) < 0)
+            return false;
+        i += 2;
+    }
+    return true;
+}
+
+/** Call @p fn(raw_key, raw_value) for each non-empty '&'-separated
+ *  piece of a query string; a piece without '=' has an empty value.
+ *  The one reading of the query grammar, shared by the parser and
+ *  the non-allocating accessor. */
+template <typename Fn>
+void
+forEachParam(std::string_view query, Fn &&fn)
+{
+    size_t pos = 0;
+    while (pos < query.size()) {
+        size_t amp = query.find('&', pos);
+        if (amp == std::string_view::npos)
+            amp = query.size();
+        std::string_view piece = query.substr(pos, amp - pos);
+        pos = amp + 1;
+        if (piece.empty())
+            continue;
+        size_t eq = piece.find('=');
+        fn(piece.substr(0, eq), eq == std::string_view::npos
+                                    ? std::string_view()
+                                    : piece.substr(eq + 1));
+    }
+}
+
 } // namespace
 
 const std::string *
@@ -53,6 +114,20 @@ HttpRequest::param(const std::string &key) const
     if (it == query.end())
         return std::nullopt;
     return it->second;
+}
+
+RequestHead
+HttpRequest::head() const
+{
+    RequestHead out;
+    out.method = method;
+    out.target = target;
+    if (const std::string *value = header("If-None-Match"))
+        out.if_none_match = *value;
+    if (const std::string *value = header("X-Request-Id"))
+        out.request_id = *value;
+    out.close = !wantsKeepAlive(*this);
+    return out;
 }
 
 const char *
@@ -99,25 +174,10 @@ std::map<std::string, std::string>
 parseQueryString(std::string_view s)
 {
     std::map<std::string, std::string> out;
-    size_t pos = 0;
-    while (pos < s.size()) {
-        size_t amp = s.find('&', pos);
-        if (amp == std::string_view::npos)
-            amp = s.size();
-        std::string_view piece = s.substr(pos, amp - pos);
-        if (!piece.empty()) {
-            size_t eq = piece.find('=');
-            std::string key, value;
-            if (eq == std::string_view::npos) {
-                key = percentDecode(piece);
-            } else {
-                key = percentDecode(piece.substr(0, eq));
-                value = percentDecode(piece.substr(eq + 1));
-            }
-            out[key] = value;
-        }
-        pos = amp + 1;
-    }
+    forEachParam(s, [&](std::string_view key, std::string_view value) {
+        std::string decoded = percentDecode(key);
+        out[decoded] = percentDecode(value);
+    });
     return out;
 }
 
@@ -172,9 +232,11 @@ parseRequestHead(std::string_view head)
         size_t colon = line.find(':');
         fatalIf(colon == std::string_view::npos,
                 "http: malformed header line '", std::string(line), "'");
-        request.headers.emplace_back(
-            trim(line.substr(0, colon)),
-            trim(line.substr(colon + 1)));
+        std::string_view name = line.substr(0, colon);
+        fatalIf(hasSpace(name), "http: whitespace in header name '",
+                std::string(name), "'");
+        request.headers.emplace_back(std::string(name),
+                                     trim(line.substr(colon + 1)));
     }
     return request;
 }
@@ -206,15 +268,6 @@ wantsKeepAlive(const HttpRequest &request)
             return true;
     }
     return request.minor_version >= 1;
-}
-
-bool
-ifNoneMatch(const HttpRequest &request, std::string_view etag)
-{
-    const std::string *header = request.header("If-None-Match");
-    if (header == nullptr)
-        return false;
-    return ifNoneMatchValue(*header, etag);
 }
 
 bool
@@ -257,16 +310,45 @@ ifNoneMatchValue(std::string_view header_value, std::string_view etag)
     return false;
 }
 
-bool
-scanFastGet(std::string_view head, FastGetView &out)
+std::string_view
+targetPath(std::string_view target, std::string &scratch)
 {
+    std::string_view path = target.substr(0, target.find('?'));
+    if (path.find('%') == std::string_view::npos &&
+        path.find('+') == std::string_view::npos)
+        return path;
+    scratch = percentDecode(path);
+    return scratch;
+}
+
+std::optional<std::string>
+targetParam(std::string_view target, std::string_view key)
+{
+    size_t q = target.find('?');
+    if (q == std::string_view::npos)
+        return std::nullopt;
+    std::optional<std::string> out;
+    forEachParam(target.substr(q + 1),
+                 [&](std::string_view raw_key, std::string_view value) {
+                     if (percentDecode(raw_key) == key)
+                         out = percentDecode(value);
+                 });
+    return out;
+}
+
+bool
+scanFastGet(std::string_view head, RequestHead &out)
+{
+    out = RequestHead{};
     if (head.substr(0, 4) != "GET ")
         return false;
     size_t sp = head.find(' ', 4);
     if (sp == std::string_view::npos)
         return false;
+    out.method = head.substr(0, 3);
     out.target = head.substr(4, sp - 4);
-    if (out.target.empty() || out.target.front() != '/')
+    if (out.target.empty() || out.target.front() != '/' ||
+        !plainTarget(out.target))
         return false;
     size_t eol = head.find("\r\n", sp + 1);
     if (eol == std::string_view::npos ||
@@ -274,14 +356,15 @@ scanFastGet(std::string_view head, FastGetView &out)
         return false;
 
     auto trimmed = [](std::string_view s) {
-        while (!s.empty() && std::isspace(static_cast<unsigned char>(
-                                 s.front())))
+        while (!s.empty() && isSpace(s.front()))
             s.remove_prefix(1);
-        while (!s.empty() && std::isspace(static_cast<unsigned char>(
-                                 s.back())))
+        while (!s.empty() && isSpace(s.back()))
             s.remove_suffix(1);
         return s;
     };
+    bool seen_connection = false;
+    bool seen_if_none_match = false;
+    bool seen_request_id = false;
     size_t pos = eol + 2;
     while (pos < head.size()) {
         size_t end = head.find("\r\n", pos);
@@ -295,6 +378,8 @@ scanFastGet(std::string_view head, FastGetView &out)
         if (colon == std::string_view::npos)
             return false;
         std::string_view name = line.substr(0, colon);
+        if (hasSpace(name))
+            return false;  // the full parser answers 400
         std::string_view value = trimmed(line.substr(colon + 1));
         if (iequals(name, "content-length") ||
             iequals(name, "transfer-encoding") ||
@@ -303,18 +388,25 @@ scanFastGet(std::string_view head, FastGetView &out)
             // needs the full framing machinery.
             return false;
         }
+        // The full parser reads the first of duplicated headers;
+        // rather than mirror that, duplicates take the full parser.
         if (iequals(name, "connection")) {
+            if (seen_connection)
+                return false;
+            seen_connection = true;
             if (iequals(value, "close"))
-                out.connection_close = true;
+                out.close = true;
             else if (!iequals(value, "keep-alive"))
                 return false;  // token lists: full parser decides
         } else if (iequals(name, "if-none-match")) {
-            if (!out.if_none_match.empty())
-                return false;  // duplicates: full parser decides
+            if (seen_if_none_match)
+                return false;
+            seen_if_none_match = true;
             out.if_none_match = value;
         } else if (iequals(name, "x-request-id")) {
-            if (!out.request_id.empty())
+            if (seen_request_id)
                 return false;
+            seen_request_id = true;
             out.request_id = value;
         }
     }

@@ -24,6 +24,21 @@
 
 namespace uops::server {
 
+/**
+ * Non-allocating view of what the serving pipeline reads from a
+ * request head. Two parsers produce it: scanFastGet() straight from
+ * the connection buffer, and HttpRequest::head() over a fully parsed
+ * request. Views are valid only as long as their source.
+ */
+struct RequestHead
+{
+    std::string_view method;         ///< "GET", "POST", ...
+    std::string_view target;         ///< raw request target
+    std::string_view if_none_match;  ///< raw value; empty = absent
+    std::string_view request_id;     ///< X-Request-Id; empty = absent
+    bool close = false;              ///< !wantsKeepAlive(request)
+};
+
 struct HttpRequest
 {
     std::string method;   ///< "GET", "POST", ...
@@ -41,6 +56,10 @@ struct HttpRequest
 
     /** Query parameter; empty optional when absent. */
     std::optional<std::string> param(const std::string &key) const;
+
+    /** Views over this request's own strings (first occurrence of
+     *  each tracked header). */
+    RequestHead head() const;
 };
 
 struct HttpResponse
@@ -107,7 +126,9 @@ std::optional<size_t> findHeaderEnd(std::string_view buffer);
 
 /**
  * Parse a request head (request line + headers, excluding the blank
- * line). Fills everything but the body.
+ * line). Fills everything but the body. Whitespace inside a header
+ * field-name — between the name and its colon, or a folded
+ * continuation line — is malformed (RFC 7230 §3.2.4).
  *
  * @throws FatalError on malformed input (caller answers 400).
  */
@@ -150,43 +171,53 @@ std::string serializeResponseHead(const HttpResponse &response,
 void appendResponseHead(std::string &out, const HttpResponse &response,
                         bool keep_alive);
 
-/** Whether @p request's If-None-Match header matches @p etag
- *  (unquoted value): handles `*`, comma-separated candidate lists,
- *  quoted tags, and weak `W/` prefixes (weak comparison — fine for
- *  revalidation). False when the header is absent. */
-bool ifNoneMatch(const HttpRequest &request, std::string_view etag);
-
-/** Same matching over a raw header value (empty = absent). */
+/** Whether an If-None-Match header value (empty = absent) matches
+ *  @p etag (unquoted value): handles `*`, comma-separated candidate
+ *  lists, quoted tags, and weak `W/` prefixes (weak comparison — fine
+ *  for revalidation). */
 bool ifNoneMatchValue(std::string_view header_value,
                       std::string_view etag);
 
 /**
- * Zero-allocation view of a simple GET head, produced by
- * scanFastGet(). Every view points into the scanned buffer; it is
- * valid only until the buffer is consumed.
+ * The decoded path of a raw request target — what parseRequestHead
+ * stores in HttpRequest::path. A path without escapes is returned as
+ * a view of @p target; otherwise it is decoded into @p scratch.
+ *
+ * @throws FatalError on a malformed percent escape.
  */
-struct FastGetView
-{
-    std::string_view target;         ///< raw request target
-    std::string_view if_none_match;  ///< raw value; empty = absent
-    std::string_view request_id;     ///< X-Request-Id; empty = absent
-    bool connection_close = false;
-};
+std::string_view targetPath(std::string_view target,
+                            std::string &scratch);
+
+/**
+ * The decoded value of query parameter @p key in a raw request
+ * target — what HttpRequest::param(key) returns once the target is
+ * parsed (the last occurrence wins) — without building the parameter
+ * map. Empty optional when absent.
+ *
+ * @throws FatalError on a malformed percent escape in a key or in
+ *         the returned value.
+ */
+std::optional<std::string> targetParam(std::string_view target,
+                                       std::string_view key);
 
 /**
  * Try to read @p head (a complete request head, blank line included)
- * as a plain HTTP/1.1 GET without materializing an HttpRequest: no
- * percent decoding, no query map, no header vector — just views.
+ * as a plain bodiless HTTP/1.1 GET without materializing an
+ * HttpRequest: no percent decoding, no query map, no header vector —
+ * just views into @p head, valid until the buffer is consumed.
  *
  * Deliberately narrow. Anything this scanner is not certain about —
  * a non-GET method, HTTP/1.0, a body (Content-Length or
  * Transfer-Encoding present), Expect, Connection token lists,
- * duplicate tracked headers, malformed lines — returns false, and
- * the caller takes the full parseRequestHead() path, which remains
- * the semantic reference. A true result never changes what the full
- * parser would have concluded; it only skips its allocations.
+ * duplicate Connection/If-None-Match/X-Request-Id headers, whitespace
+ * or malformed escapes in the target, whitespace in a header name,
+ * malformed lines — returns false, and the caller takes the full
+ * parseRequestHead() path, which remains the semantic reference. A
+ * true result guarantees the full parser accepts the head and reads
+ * the same method, target, If-None-Match, X-Request-Id and
+ * keep-alive decision, with no body; it only skips its allocations.
  */
-bool scanFastGet(std::string_view head, FastGetView &out);
+bool scanFastGet(std::string_view head, RequestHead &out);
 
 } // namespace uops::server
 

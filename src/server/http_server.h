@@ -2,30 +2,20 @@
  * @file
  * Dependency-free HTTP/1.1 socket server for the query service.
  *
- * Two transports behind one API:
- *
- * The default is the event-driven epoll reactor (server/reactor.h):
- * a few reactor threads own every socket, do all framing and
- * keep-alive work, serve cache/blob/304 hits inline, and hand only
- * requests that need real work to the shared ThreadPool — so
- * hundreds of keep-alive connections cost readiness events, not
- * blocked threads.
- *
- * Options::reactor = false selects the legacy thread-per-connection
- * transport: one acceptor thread, and a pool task per connection
- * that serves requests through QueryService::handle() until the
- * client is done. Both transports share the same parsing, framing
- * and service code, so their responses are byte-identical; the
- * legacy path remains as an escape hatch and as the conformance
- * reference the reactor is tested against.
+ * HttpServer owns the listen socket and the worker pool, and serves
+ * through the epoll reactor (server/reactor.h): a few reactor
+ * threads own every socket, do all framing and keep-alive work,
+ * answer cache/blob/304 hits inline, and hand only requests that
+ * need real work to the pool — so hundreds of keep-alive connections
+ * cost readiness events, not blocked threads.
  *
  * HTTP/1.1 keep-alive is honored (Connection headers, HTTP/1.0
  * semantics included), so query clients issuing many small requests
  * stop paying per-request TCP setup; a connection is bounded by
  * max_requests_per_connection and by the receive timeout, so a
- * slow-loris client cannot pin a worker forever. Malformed requests
- * are answered and the connection closed — after an error the byte
- * stream can no longer be trusted to be framed.
+ * slow-loris client cannot hold a connection forever. Malformed
+ * requests are answered and the connection closed — after an error
+ * the byte stream can no longer be trusted to be framed.
  *
  * Listens on a configurable address/port; port 0 binds an ephemeral
  * port (query it with port() — the tests and the CI smoke step use
@@ -38,13 +28,9 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <set>
 #include <string>
-#include <thread>
 
 #include "server/service.h"
 #include "support/thread_pool.h"
@@ -73,21 +59,15 @@ class HttpServer
 
         /** Idle wait for the *next* request on a persistent
          *  connection. Deliberately shorter than the in-request
-         *  recv timeout: a worker blocked between requests is pure
-         *  opportunity cost, so idle keep-alive clients are shed
-         *  quickly instead of pinning pool workers. */
+         *  recv timeout: idle keep-alive clients are shed quickly
+         *  instead of holding connection slots. */
         int keep_alive_idle_seconds = 1;
 
         /** How long stop()/drain() waits for in-flight connections
          *  to finish before forcibly shutting their sockets down. */
         int drain_deadline_ms = 5000;
 
-        /** Serve through the epoll reactor (default). false selects
-         *  the legacy thread-per-connection transport. */
-        bool reactor = true;
-
-        /** Reactor threads; 0 picks min(4, hardware threads). Only
-         *  meaningful with reactor = true. */
+        /** Reactor threads; 0 picks min(4, hardware threads). */
         size_t reactor_threads = 0;
     };
 
@@ -103,7 +83,7 @@ class HttpServer
     HttpServer &operator=(const HttpServer &) = delete;
 
     /**
-     * Bind, listen and start the acceptor thread.
+     * Bind, listen and start the reactor threads.
      *
      * @throws FatalError when the address cannot be bound.
      */
@@ -116,8 +96,8 @@ class HttpServer
      * Graceful drain. Stops accepting (new connections are refused,
      * keep-alive is no longer offered), waits up to @p max_wait for
      * in-flight connections to finish — every response already being
-     * computed is sent whole — then forcibly shuts down whatever
-     * remains and waits for their workers to return.
+     * computed is sent whole — then forcibly closes whatever remains
+     * and waits for their pool tasks to return.
      *
      * @return true when every connection finished within the
      *         deadline (no socket had to be shut down mid-request).
@@ -141,27 +121,14 @@ class HttpServer
     size_t numWorkers() const { return pool_.numWorkers(); }
 
   private:
-    void acceptLoop();
-    void handleConnection(int fd);
-    void serveConnection(int fd);
-
     QueryService &service_;
     Options options_;
     ThreadPool pool_;
     std::unique_ptr<Reactor> reactor_;
-    std::thread acceptor_;
     std::atomic<bool> running_{false};
     std::atomic<bool> draining_{false};
     int listen_fd_ = -1;
     uint16_t port_ = 0;
-
-    /** Open connection fds. Discipline: an fd is inserted before its
-     *  pool task is submitted and erased *before* it is closed, so
-     *  drain()'s force-shutdown (under the same mutex) can never
-     *  touch a closed — possibly reused — descriptor. */
-    mutable std::mutex conn_mutex_;
-    std::set<int> connections_;
-    std::condition_variable conn_cv_;
 };
 
 } // namespace uops::server

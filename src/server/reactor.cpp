@@ -306,49 +306,52 @@ Reactor::onReadable(Worker &worker, Conn &conn)
     processInput(worker, conn);
 }
 
+bool
+Reactor::parseNext(Conn &conn, HttpRequest &request)
+{
+    Conn::ParseResult parsed = conn.next(request);
+    if (parsed.kind == Conn::Parse::Refuse)
+        queueRefusal(conn, parsed.refuse_status, parsed.refuse_message,
+                     parsed.have_head ? &request : nullptr);
+    return parsed.kind == Conn::Parse::Ready;
+}
+
 void
 Reactor::processInput(Worker &worker, Conn &conn)
 {
-    // Serve every complete buffered request in order: fast-path hits
-    // complete inline (pipelined batches never leave this thread);
-    // the first request that needs real work pauses parsing until
-    // its pool completion lands.
+    // Serve every complete buffered request in order: answers from
+    // precomputed state complete inline (pipelined batches never
+    // leave this thread); the first request that needs real work
+    // pauses parsing until its pool completion lands.
     while (!conn.busy && !conn.close_after_flush) {
-        // Zero-parse lane first: a plain GET answered from
-        // precomputed state (blob, cache, 304) never materializes an
-        // HttpRequest at all. Anything the scanner or the service is
-        // unsure about falls through to the full parser below.
-        if (conn.tryRaw(draining_.load(std::memory_order_relaxed),
-                        [this](const FastGetView &view,
-                               HttpResponse &response) {
-                            return service_.tryServeRaw(view,
-                                                        response);
-                        }) == Conn::Raw::Served) {
-            fast_served_->inc();
-            continue;
-        }
+        bool draining = draining_.load(std::memory_order_relaxed);
+        // The parser is the only choice: a plain GET head is scanned
+        // in place without materializing an HttpRequest, anything
+        // else is parsed fully. Either head takes the same pipeline.
+        RequestHead head;
         HttpRequest request;
-        Conn::ParseResult parsed = conn.next(request);
-        if (parsed.kind == Conn::Parse::NeedMore)
-            break;
-        if (parsed.kind == Conn::Parse::Refuse) {
-            queueRefusal(conn, parsed.refuse_status,
-                         parsed.refuse_message,
-                         parsed.have_head ? &request : nullptr);
-            break;
+        bool scanned = conn.scanNext(head);
+        if (!scanned) {
+            if (!parseNext(conn, request))
+                break;  // need more bytes, or refused
+            head = request.head();
         }
-
-        bool keep_alive = conn.keepAlive(
-            request, draining_.load(std::memory_order_relaxed));
         HttpResponse response;
-        if (service_.tryServeFast(request, response)) {
+        if (service_.tryServeInline(head, response)) {
+            if (scanned)
+                conn.consumeScanned();
             fast_served_->inc();
-            conn.queueResponse(response, keep_alive);
+            conn.queueResponse(response,
+                               conn.keepAlive(head.close, draining));
             continue;  // !keep_alive set close_after_flush: loop ends
         }
+        // Real work. A scanned head is parsed fully now; the scanner
+        // accepts only heads the full parser frames the same way.
+        if (scanned && !parseNext(conn, request))
+            break;
 
         conn.busy = true;
-        conn.pending_keep_alive = keep_alive;
+        conn.pending_keep_alive = conn.keepAlive(head.close, draining);
         dispatched_->inc();
         inflight_.fetch_add(1);
         // The task captures the connection *id*, never the Conn or
@@ -458,8 +461,7 @@ Reactor::sweepDeadlines(Worker &worker)
             !conn->partialRequest()) {
             // Idle between requests: close now. A half-received
             // request keeps its socket until its own deadline or the
-            // drain force deadline — same as the threaded transport,
-            // whose worker sits in recv() until drain forces it.
+            // drain force deadline.
             doomed.push_back(id);
             continue;
         }
@@ -510,8 +512,7 @@ Reactor::queueRefusal(Conn &conn, int status,
                       const HttpRequest *request)
 {
     // Transport-level refusals never reach QueryService::handle(),
-    // so correlation and the access-log line are this layer's job —
-    // same contract as the threaded transport.
+    // so correlation and the access-log line are this layer's job.
     HttpResponse response = errorResponse(status, message);
     const std::string *client_id =
         request != nullptr ? request->header("X-Request-Id") : nullptr;

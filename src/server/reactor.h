@@ -1,27 +1,27 @@
 /**
  * @file
- * Event-driven serving front end: an epoll reactor for the HTTP
- * server.
+ * The HTTP server's transport: an epoll reactor.
  *
- * The thread-per-connection transport spends its parallelism on
- * *waiting*: a pool worker camps on recv() between requests, so 16
- * keep-alive clients against a small pool starve each other even
- * when every response is a precomputed blob that costs microseconds
- * to serve. The reactor inverts that: a few threads own all the
- * sockets through epoll and spend their time exclusively on work
+ * A thread per connection would spend its parallelism on *waiting*:
+ * a worker camps on recv() between requests, so keep-alive clients
+ * starve each other even when every response is a precomputed blob
+ * that costs microseconds to serve. Instead a few threads own all
+ * the sockets through epoll and spend their time exclusively on work
  * that is actually ready.
  *
  * Each reactor thread runs its own epoll loop and owns its accepted
  * connections outright (no cross-thread connection state, no locks
  * on the serving path). The shared listen socket is registered in
  * every loop with EPOLLEXCLUSIVE so the kernel wakes one thread per
- * pending accept. Per readiness event a thread reads, runs the Conn
- * framing machine, and answers *inline* whatever the fast path can:
- * response-cache hits, precomputed blob bodies (/uarchs, /instr),
- * and If-None-Match 304s — QueryService::tryServeFast(), the same
- * code the threaded path exercises through handle(). Only requests
- * that need real work (cold /search, /predict simulation, /reload)
- * are handed to the worker pool; the completion is queued back to
+ * pending accept. Per readiness event a thread reads and takes each
+ * buffered request through one pipeline with a choice of parser: a
+ * plain GET head is scanned in place (scanFastGet), anything else is
+ * parsed fully; either head goes to QueryService::tryServeInline(),
+ * which answers from precomputed state — response-cache hits, blob
+ * bodies (/uarchs, /instr), and If-None-Match 304s — through the
+ * same lookup and finalizer as handle(). Only requests that need
+ * real work (cold /search, /predict simulation, /reload) are handed
+ * to handle() on the worker pool; the completion is queued back to
  * the owning reactor thread through an eventfd wakeup and flushed in
  * arrival order, so pipelined clients still see ordered responses.
  *
@@ -125,6 +125,9 @@ class Reactor
     /** Parse + serve/dispatch buffered requests, then flush. The
      *  connection may be *closed* (and freed) on return. */
     void processInput(Worker &worker, Conn &conn);
+    /** Full-parse the next buffered request; queues the refusal
+     *  when there is one. True when @p request is Ready. */
+    bool parseNext(Conn &conn, HttpRequest &request);
     void flush(Worker &worker, Conn &conn);
     void drainCompletions(Worker &worker);
     void sweepDeadlines(Worker &worker);

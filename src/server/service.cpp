@@ -376,14 +376,13 @@ QueryService::reload()
 }
 
 Endpoint
-QueryService::route(const HttpRequest &request) const
+QueryService::route(std::string_view path) const
 {
-    const std::string &path = request.path;
     if (path == "/healthz")
         return Endpoint::Healthz;
     if (path == "/uarchs")
         return Endpoint::UArchs;
-    if (startsWith(path, "/instr/") || path == "/instr")
+    if (path.starts_with("/instr/") || path == "/instr")
         return Endpoint::Instr;
     if (path == "/search")
         return Endpoint::Search;
@@ -402,53 +401,87 @@ QueryService::route(const HttpRequest &request) const
     return Endpoint::Other;
 }
 
+QueryService::Lookup
+QueryService::lookup(Endpoint endpoint, const RequestHead &head,
+                     const ServingState &state, HttpResponse &response)
+{
+    Lookup found;
+    if (head.method != "GET")
+        return found;
+    switch (endpoint) {
+      case Endpoint::UArchs:
+        // Pure blob: caching it would only duplicate the lookup.
+        response = handleUArchs(state);
+        found.answered = true;
+        return found;
+      case Endpoint::Predict:
+        // Timed debug responses stay per-request: they bypass the
+        // response cache (and the kernel memo), so a memoized
+        // response is still byte-identical to a cold render.
+        if (targetParam(head.target, "debug") == "timings")
+            return found;
+        break;
+      case Endpoint::Instr:
+      case Endpoint::Search:
+      case Endpoint::Diff:
+      case Endpoint::Analytics:
+        break;
+      default:
+        return found;
+    }
+
+    found.cacheable = true;
+    if (auto cached = cache_.get(head.target, state.epoch)) {
+        response = std::move(*cached);
+        response.cache_hit = true;
+        found.hit = found.answered = true;
+        return found;
+    }
+    if (endpoint == Endpoint::Instr) {
+        // Blob-backed: always cheap — a hash lookup for the body, or
+        // a 400/404 render — so every /instr GET completes here.
+        try {
+            response = handleInstr(head.target, state);
+        } catch (const FatalError &e) {
+            response = errorResponse(400, e.what());
+        } catch (const std::exception &e) {
+            response = errorResponse(500, e.what());
+        }
+        if (response.status == 200)
+            cache_.put(head.target, state.epoch, response);
+        found.answered = true;
+    }
+    return found;
+}
+
 HttpResponse
 QueryService::handle(const HttpRequest &request)
 {
     uint64_t t0_us = obs::traceNowUs();
-    Endpoint endpoint = route(request);
-    EndpointInstruments &ins =
-        instruments_[static_cast<size_t>(endpoint)];
-    ins.requests->inc();
+    Endpoint endpoint = route(request.path);
+    instruments_[static_cast<size_t>(endpoint)].requests->inc();
 
     // Pin the serving generation once: everything below — cache key,
     // dispatch, predictor contexts — runs against this state even if
     // a swap lands mid-request.
     StatePtr st = state();
-
-    // Spans are collected only when someone will read them: a
-    // ?debug=timings /predict response or an active UOPS_TRACE
-    // profile. The cached hot path never allocates a SpanSet.
+    RequestHead head = request.head();
     obs::ChromeTracer *tracer = obs::ChromeTracer::fromEnv();
-    bool debug_timings = false;
-    if (endpoint == Endpoint::Predict) {
-        auto debug = request.param("debug");
-        debug_timings = debug && *debug == "timings";
-    }
-    std::optional<obs::SpanSet> spans;
-    if (endpoint == Endpoint::Predict && (debug_timings || tracer))
-        spans.emplace("predict", tracer);
 
     HttpResponse response;
-    // Timed debug responses must stay per-request: they bypass the
-    // response cache (and, below, the kernel memo), so a memoized
-    // response is still byte-identical to a cold render.
-    bool cacheable =
-        request.method == "GET" && !debug_timings &&
-        (endpoint == Endpoint::Instr || endpoint == Endpoint::Search ||
-         endpoint == Endpoint::Diff || endpoint == Endpoint::Predict ||
-         endpoint == Endpoint::Analytics);
-
-    bool from_cache = false;
-    if (cacheable) {
-        if (auto cached = cache_.get(request.target, st->epoch)) {
-            response = *cached;
-            response.cache_hit = true;
-            from_cache = true;
-            ins.cache_hits->inc();
+    Lookup found = lookup(endpoint, head, *st, response);
+    if (!found.answered) {
+        // Spans are collected only when someone will read them: a
+        // ?debug=timings /predict response or an active UOPS_TRACE
+        // profile. The cached hot path never allocates a SpanSet.
+        bool debug_timings = false;
+        if (endpoint == Endpoint::Predict) {
+            auto debug = request.param("debug");
+            debug_timings = debug && *debug == "timings";
         }
-    }
-    if (!from_cache) {
+        std::optional<obs::SpanSet> spans;
+        if (endpoint == Endpoint::Predict && (debug_timings || tracer))
+            spans.emplace("predict", tracer);
         try {
             response = dispatch(endpoint, request, *st,
                                 spans ? &*spans : nullptr,
@@ -458,26 +491,41 @@ QueryService::handle(const HttpRequest &request)
         } catch (const std::exception &e) {
             response = errorResponse(500, e.what());
         }
-        if (cacheable && response.status == 200)
-            cache_.put(request.target, st->epoch, response);
+        if (found.cacheable && response.status == 200)
+            cache_.put(head.target, st->epoch, response);
     }
 
-    finishResponse(request, endpoint, *st, response, t0_us,
-                   cacheable ? (from_cache ? "hit" : "miss") : "none",
-                   tracer);
+    finish(head, endpoint, *st, found, response, t0_us, tracer);
     return response;
 }
 
+bool
+QueryService::tryServeInline(const RequestHead &head,
+                             HttpResponse &response)
+{
+    uint64_t t0_us = obs::traceNowUs();
+    std::string scratch;
+    Endpoint endpoint = route(targetPath(head.target, scratch));
+    StatePtr st = state();
+    Lookup found = lookup(endpoint, head, *st, response);
+    if (!found.answered)
+        return false;
+    instruments_[static_cast<size_t>(endpoint)].requests->inc();
+    finish(head, endpoint, *st, found, response, t0_us,
+           obs::ChromeTracer::fromEnv());
+    return true;
+}
+
 void
-QueryService::finishResponse(const HttpRequest &request,
-                             Endpoint endpoint,
-                             const ServingState &state,
-                             HttpResponse &response, uint64_t t0_us,
-                             const char *cache_disposition,
-                             obs::ChromeTracer *tracer)
+QueryService::finish(const RequestHead &head, Endpoint endpoint,
+                     const ServingState &state, const Lookup &found,
+                     HttpResponse &response, uint64_t t0_us,
+                     obs::ChromeTracer *tracer)
 {
     EndpointInstruments &ins =
         instruments_[static_cast<size_t>(endpoint)];
+    if (found.hit)
+        ins.cache_hits->inc();
 
     // Conditional GET: when the client's If-None-Match names the
     // entity this response carries, the transfer is pure waste — the
@@ -486,10 +534,10 @@ QueryService::finishResponse(const HttpRequest &request,
     // fresh 200s revalidate identically, and the blob-backed paths
     // never rendered anything to begin with.
     if (response.status == 200 && !response.etag.empty() &&
-        ifNoneMatch(request, response.etag)) {
+        ifNoneMatchValue(head.if_none_match, response.etag)) {
         HttpResponse not_modified;
         not_modified.status = 304;
-        not_modified.etag = response.etag;
+        not_modified.etag = std::move(response.etag);
         not_modified.cache_hit = response.cache_hit;
         response = std::move(not_modified);
         not_modified_->inc();
@@ -501,22 +549,21 @@ QueryService::finishResponse(const HttpRequest &request,
     ins.latency->observe(us);
 
     // Correlation: echo a sane client ID, mint one otherwise. Set
-    // *after* the cache/memo put so a cached entry never replays the
+    // *after* the cache put so a cached entry never replays the
     // first requester's ID to later hits.
-    const std::string *client_id = request.header("X-Request-Id");
-    if (client_id != nullptr && acceptableRequestId(*client_id))
-        response.request_id = *client_id;
+    if (acceptableRequestId(head.request_id))
+        response.request_id.assign(head.request_id);
     else
         response.request_id = obs::newTraceId();
 
     if (logger_.enabled(obs::LogLevel::Info)) {
         logger_.event(obs::LogLevel::Info, "http", "access")
             .str("id", response.request_id)
-            .str("method", request.method)
+            .str("method", head.method)
             .str("endpoint", endpointName(endpoint))
             .num("status", static_cast<int64_t>(response.status))
             .num("us", us)
-            .str("cache", cache_disposition)
+            .str("cache", found.disposition())
             .num("generation", state.catalog->generation())
             .num("epoch", state.epoch);
     }
@@ -525,224 +572,13 @@ QueryService::finishResponse(const HttpRequest &request,
         logger_.enabled(obs::LogLevel::Warn)) {
         logger_.event(obs::LogLevel::Warn, "http", "slow_request")
             .str("id", response.request_id)
-            .str("target", std::string_view(request.target)
-                               .substr(0, 256))
+            .str("target", head.target.substr(0, 256))
             .num("status", static_cast<int64_t>(response.status))
             .num("us", us)
             .num("threshold_us", options_.slow_request_us);
     }
     if (tracer != nullptr)
         tracer->complete(endpointName(endpoint), "http", t0_us, us);
-}
-
-bool
-QueryService::tryServeFast(const HttpRequest &request,
-                           HttpResponse &response)
-{
-    if (request.method != "GET")
-        return false;
-    Endpoint endpoint = route(request);
-    bool blob_backed = endpoint == Endpoint::UArchs ||
-                       endpoint == Endpoint::Instr;
-    if (!blob_backed && endpoint != Endpoint::Search &&
-        endpoint != Endpoint::Diff && endpoint != Endpoint::Predict &&
-        endpoint != Endpoint::Analytics)
-        return false;
-    // Debug-timings responses are per-request by contract; they
-    // never touch the cache, so they never have a fast path.
-    if (endpoint == Endpoint::Predict && request.param("debug"))
-        return false;
-
-    uint64_t t0_us = obs::traceNowUs();
-    StatePtr st = state();
-    // /uarchs is pure blob — caching it would only duplicate the
-    // lookup. Everything else mirrors handle()'s cacheable set.
-    bool cacheable = endpoint != Endpoint::UArchs;
-
-    HttpResponse out;
-    bool served = false;
-    bool from_cache = false;
-    if (cacheable) {
-        if (auto cached = cache_.get(request.target, st->epoch)) {
-            out = *cached;
-            out.cache_hit = true;
-            served = from_cache = true;
-        }
-    }
-    if (!served && blob_backed) {
-        // Blob-backed endpoints are *always* cheap — a hash lookup
-        // for the body (or a 400/404 error render) — so every GET
-        // /uarchs and /instr request completes inline.
-        try {
-            out = endpoint == Endpoint::UArchs
-                      ? handleUArchs(*st)
-                      : handleInstr(request, *st);
-        } catch (const FatalError &e) {
-            out = errorResponse(400, e.what());
-        } catch (const std::exception &e) {
-            out = errorResponse(500, e.what());
-        }
-        served = true;
-        if (cacheable && out.status == 200)
-            cache_.put(request.target, st->epoch, out);
-    }
-    if (!served)
-        return false;  // cold /search, /diff, /predict: real work
-
-    EndpointInstruments &ins =
-        instruments_[static_cast<size_t>(endpoint)];
-    ins.requests->inc();
-    if (from_cache)
-        ins.cache_hits->inc();
-    finishResponse(request, endpoint, *st, out, t0_us,
-                   cacheable ? (from_cache ? "hit" : "miss") : "none",
-                   obs::ChromeTracer::fromEnv());
-    response = std::move(out);
-    return true;
-}
-
-bool
-QueryService::tryServeRaw(const FastGetView &raw,
-                          HttpResponse &response)
-{
-    // Endpoint by literal target prefix. Percent-escaped spellings
-    // of these paths miss here and take the decoding parser — same
-    // answer, slower lane.
-    std::string_view target = raw.target;
-    Endpoint endpoint;
-    if (target == "/uarchs")
-        endpoint = Endpoint::UArchs;
-    else if (target.starts_with("/instr/"))
-        endpoint = Endpoint::Instr;
-    else if (target.starts_with("/search?"))
-        endpoint = Endpoint::Search;
-    else if (target.starts_with("/diff?"))
-        endpoint = Endpoint::Diff;
-    else if (target.starts_with("/predict?"))
-        endpoint = Endpoint::Predict;
-    else if (target.starts_with("/analytics/regressions?"))
-        endpoint = Endpoint::Analytics;
-    else
-        return false;
-    // Debug-timings /predict responses are per-request by contract;
-    // the substring test is coarser than param("debug") but only
-    // errs toward the full parser.
-    if (endpoint == Endpoint::Predict &&
-        target.find("debug") != std::string_view::npos)
-        return false;
-
-    uint64_t t0_us = obs::traceNowUs();
-    StatePtr st = state();
-    bool cacheable = endpoint != Endpoint::UArchs;
-
-    HttpResponse out;
-    bool served = false;
-    bool from_cache = false;
-    if (cacheable) {
-        if (auto cached = cache_.get(target, st->epoch)) {
-            out = std::move(*cached);
-            out.cache_hit = true;
-            served = from_cache = true;
-        }
-    }
-    if (!served && endpoint == Endpoint::UArchs) {
-        out = handleUArchs(*st);
-        served = true;
-    }
-    if (!served && endpoint == Endpoint::Instr) {
-        // "/instr/NAME" or "/instr/NAME?uarch=SHORT", all literal:
-        // escapes, extra parameters, unknown names and unknown
-        // uarchs fall back so error rendering stays in one place.
-        std::string_view rest = target.substr(strlen("/instr/"));
-        std::string_view name = rest;
-        std::string_view query;
-        if (size_t q = rest.find('?'); q != std::string_view::npos) {
-            name = rest.substr(0, q);
-            query = rest.substr(q + 1);
-        }
-        if (name.empty() ||
-            name.find_first_of("%+") != std::string_view::npos)
-            return false;
-        std::shared_ptr<const std::string> blob;
-        if (query.empty()) {
-            blob = st->blobs->instrBody(name);
-        } else if (query.starts_with("uarch=")) {
-            std::string_view arch = query.substr(strlen("uarch="));
-            if (arch.empty() ||
-                arch.find_first_of("%+&=") != std::string_view::npos)
-                return false;
-            try {
-                blob = st->blobs->instrBody(
-                    name, uarch::parseUArch(std::string(arch)));
-            } catch (const FatalError &) {
-                return false;  // unknown uarch: full path renders 400
-            }
-        } else {
-            return false;
-        }
-        if (blob == nullptr)
-            return false;  // unknown variant: full path renders 404
-        blob_hits_->inc();
-        out.blob = std::move(blob);
-        out.etag = st->blobs->etag();
-        served = true;
-        cache_.put(target, st->epoch, out);
-    }
-    if (!served)
-        return false;  // cold /search, /diff, /predict: real work
-
-    EndpointInstruments &ins =
-        instruments_[static_cast<size_t>(endpoint)];
-    ins.requests->inc();
-    if (from_cache)
-        ins.cache_hits->inc();
-
-    // Finalization, mirroring finishResponse() field for field: the
-    // 304 collapse, latency, correlation ID, access/slow logs.
-    if (out.status == 200 && !out.etag.empty() &&
-        ifNoneMatchValue(raw.if_none_match, out.etag)) {
-        HttpResponse not_modified;
-        not_modified.status = 304;
-        not_modified.etag = std::move(out.etag);
-        not_modified.cache_hit = out.cache_hit;
-        out = std::move(not_modified);
-        not_modified_->inc();
-    }
-    if (out.status >= 400)
-        ins.errors->inc();
-    uint64_t us = obs::traceNowUs() - t0_us;
-    ins.latency->observe(us);
-    if (!raw.request_id.empty() && acceptableRequestId(raw.request_id))
-        out.request_id.assign(raw.request_id);
-    else
-        out.request_id = obs::newTraceId();
-
-    if (logger_.enabled(obs::LogLevel::Info)) {
-        logger_.event(obs::LogLevel::Info, "http", "access")
-            .str("id", out.request_id)
-            .str("method", "GET")
-            .str("endpoint", endpointName(endpoint))
-            .num("status", static_cast<int64_t>(out.status))
-            .num("us", us)
-            .str("cache",
-                 cacheable ? (from_cache ? "hit" : "miss") : "none")
-            .num("generation", st->catalog->generation())
-            .num("epoch", st->epoch);
-    }
-    if (options_.slow_request_us > 0 &&
-        us >= options_.slow_request_us &&
-        logger_.enabled(obs::LogLevel::Warn)) {
-        logger_.event(obs::LogLevel::Warn, "http", "slow_request")
-            .str("id", out.request_id)
-            .str("target", target.substr(0, 256))
-            .num("status", static_cast<int64_t>(out.status))
-            .num("us", us)
-            .num("threshold_us", options_.slow_request_us);
-    }
-    if (obs::ChromeTracer *tracer = obs::ChromeTracer::fromEnv())
-        tracer->complete(endpointName(endpoint), "http", t0_us, us);
-    response = std::move(out);
-    return true;
 }
 
 HttpResponse
@@ -762,7 +598,7 @@ QueryService::dispatch(Endpoint endpoint, const HttpRequest &request,
     switch (endpoint) {
       case Endpoint::Healthz: return handleHealthz(state);
       case Endpoint::UArchs: return handleUArchs(state);
-      case Endpoint::Instr: return handleInstr(request, state);
+      case Endpoint::Instr: return handleInstr(request.target, state);
       case Endpoint::Search: return handleSearch(request, state);
       case Endpoint::Diff: return handleDiff(request, state);
       case Endpoint::Predict:
@@ -806,25 +642,27 @@ QueryService::handleUArchs(const ServingState &state)
 }
 
 HttpResponse
-QueryService::handleInstr(const HttpRequest &request,
+QueryService::handleInstr(std::string_view target,
                           const ServingState &state)
 {
-    if (request.path == "/instr" || request.path == "/instr/")
+    std::string scratch;
+    std::string_view path = targetPath(target, scratch);
+    if (!path.starts_with("/instr/") || path == "/instr/")
         return errorResponse(400, "usage: /instr/{variant-name}");
-    std::string name = request.path.substr(strlen("/instr/"));
+    std::string_view name = path.substr(strlen("/instr/"));
 
     // Precomputed at install time: the full body is one lookup, the
     // ?uarch= variant is assembled from slices of it. No record is
     // ever rendered on the request path.
     std::shared_ptr<const std::string> blob;
-    if (auto arch = parseArchParam(request, "uarch"))
-        blob = state.blobs->instrBody(name, *arch);
+    if (auto arch = targetParam(target, "uarch"))
+        blob = state.blobs->instrBody(name, uarch::parseUArch(*arch));
     else
         blob = state.blobs->instrBody(name);
     if (blob == nullptr) {
         blob_misses_->inc();
-        return errorResponse(404, "no results for variant '" + name +
-                                      "'");
+        return errorResponse(404, "no results for variant '" +
+                                      std::string(name) + "'");
     }
     blob_hits_->inc();
     HttpResponse response;

@@ -77,6 +77,15 @@
  * request updates the per-endpoint metrics (requests, errors, cache
  * hits, total µs).
  *
+ * One request pipeline, three steps, each defined once: route() over
+ * the decoded path; lookup(), the precomputed answer (response-cache
+ * hit, /uarchs blob, /instr blob); finish(), the finalizer (304
+ * collapse, metrics, request ID, access/slow logs, trace). handle()
+ * runs lookup, dispatches to a handler when there is no precomputed
+ * answer, then finishes; tryServeInline() runs lookup and finish
+ * alone, so the reactor answers hot requests on its own threads with
+ * exactly the bytes handle() would produce.
+ *
  * handle() is thread-safe: catalogs are immutable, the cache and
  * metrics are internally synchronized, and per-uarch predictor
  * contexts are built once per generation under that state's mutex.
@@ -203,38 +212,30 @@ class QueryService
     /** Default options. */
     QueryService(CatalogPtr catalog, const isa::InstrDb &instrs);
 
-    /** Route one request to a response (thread-safe). */
+    /**
+     * Route one request to a response (thread-safe): lookup, then
+     * dispatch to a handler when no precomputed answer exists, then
+     * finalize.
+     */
     HttpResponse handle(const HttpRequest &request);
 
     /**
-     * The serving fast path: answer @p request *without* rendering
-     * when a precomputed body exists — a response-cache hit, a
-     * blob-store hit (/uarchs, /instr), or an If-None-Match
-     * revalidation against the generation ETag (304, no body at
-     * all). Returns true with @p response filled (metrics, request
-     * ID and access log all applied — the request is finished);
-     * false when the request needs real work (cold /search, /diff,
-     * /predict, POSTs, admin endpoints), in which case the caller
-     * dispatches it to handle() on a worker thread. Thread-safe;
-     * byte-identical to handle() for every request it serves, since
-     * both paths share the same handlers and finalization.
+     * The same pipeline without the dispatch step: answer @p head
+     * from precomputed state — a response-cache hit, a blob-store
+     * answer (/uarchs, /instr, including their 400/404 renders), and
+     * the If-None-Match 304 the finalizer collapses either into.
+     * Returns true with @p response finished (metrics, request ID,
+     * access log applied); false when the request needs real work
+     * (cold /search, /diff, /analytics, /predict, POSTs, admin
+     * endpoints), in which case the caller hands the parsed request
+     * to handle() on a worker thread. @p head comes from either
+     * parser — scanFastGet() or HttpRequest::head() — so its target's
+     * escapes are valid. Its bytes equal handle()'s for every request
+     * it answers, since both run the same lookup and finalizer.
+     * Thread-safe.
      */
-    bool tryServeFast(const HttpRequest &request,
-                      HttpResponse &response);
-
-    /**
-     * The same fast path driven by a zero-parse head scan
-     * (scanFastGet): target prefixes select the endpoint, the
-     * response cache is probed by raw target, and blob-store hits
-     * are assembled straight from views — no HttpRequest, no query
-     * map, no percent decoding. Returns true with @p response
-     * finished exactly as tryServeFast() would have; false for
-     * anything it is not certain about (unknown names, escaped
-     * targets, error renders, cold work), in which case the caller
-     * must fall back to the full parser — the two lanes are
-     * byte-identical wherever both serve.
-     */
-    bool tryServeRaw(const FastGetView &raw, HttpResponse &response);
+    bool tryServeInline(const RequestHead &head,
+                        HttpResponse &response);
 
     /** Counters for one endpoint (read from the registry — the same
      *  series /metrics renders, so the two can never disagree). */
@@ -336,25 +337,47 @@ class QueryService
     StatePtr installCatalog(CatalogPtr next);
     StatePtr reloadState(db::RecoveryReport &report);
 
-    Endpoint route(const HttpRequest &request) const;
+    /** Where lookup() left a request. */
+    struct Lookup
+    {
+        bool cacheable = false;  ///< a 200 belongs in the cache
+        bool hit = false;        ///< answered from the cache
+        bool answered = false;   ///< no dispatch needed
+
+        /** Access-log cache disposition. */
+        const char *
+        disposition() const
+        {
+            return !cacheable ? "none" : hit ? "hit" : "miss";
+        }
+    };
+
+    Endpoint route(std::string_view path) const;
+
+    /** The precomputed answer for @p head, if one exists: the
+     *  response-cache entry, the /uarchs blob, or the /instr blob
+     *  (or its 400/404 render; a 200 is cached). Fills @p response
+     *  when the result is answered. */
+    Lookup lookup(Endpoint endpoint, const RequestHead &head,
+                  const ServingState &state, HttpResponse &response);
+
     HttpResponse dispatch(Endpoint endpoint,
                           const HttpRequest &request,
                           ServingState &state, obs::SpanSet *spans,
                           bool debug_timings);
     void registerInstruments();
 
-    /** Shared tail of handle() and tryServeFast(): If-None-Match ->
-     *  304 conversion, error/latency metrics, request-ID resolution,
+    /** The finalizer every response passes through: If-None-Match ->
+     *  304, cache-hit/error/latency metrics, request-ID echo or mint,
      *  access + slow-request logging, tracer completion. */
-    void finishResponse(const HttpRequest &request, Endpoint endpoint,
-                        const ServingState &state,
-                        HttpResponse &response, uint64_t t0_us,
-                        const char *cache_disposition,
-                        obs::ChromeTracer *tracer);
+    void finish(const RequestHead &head, Endpoint endpoint,
+                const ServingState &state, const Lookup &found,
+                HttpResponse &response, uint64_t t0_us,
+                obs::ChromeTracer *tracer);
 
     HttpResponse handleHealthz(const ServingState &state);
     HttpResponse handleUArchs(const ServingState &state);
-    HttpResponse handleInstr(const HttpRequest &request,
+    HttpResponse handleInstr(std::string_view target,
                              const ServingState &state);
     HttpResponse handleSearch(const HttpRequest &request,
                               const ServingState &state);

@@ -2,7 +2,7 @@
  * @file
  * Torture tests for the epoll reactor transport (src/server/reactor)
  * and the precomputed response-blob fast path (src/server/blob_store):
- * byte-identity against the legacy thread-per-connection transport,
+ * byte-identity against QueryService::handle() renders,
  * golden-render checks for blob bodies, ETag/If-None-Match
  * revalidation across hot swaps, pipelining order with interleaved
  * fast-path and pool-dispatched requests, slow-loris shedding,
@@ -171,33 +171,6 @@ httpGet(uint16_t port, const std::string &target,
     return response;
 }
 
-/** Strip the per-request headers (X-Request-Id, X-Cache) so two wire
- *  responses can be compared for transport identity. */
-std::string
-canonical(const std::string &wire)
-{
-    std::string out;
-    size_t at = 0;
-    while (at < wire.size()) {
-        size_t eol = wire.find("\r\n", at);
-        if (eol == std::string::npos) {
-            out.append(wire, at, std::string::npos);
-            break;
-        }
-        std::string_view line(wire.data() + at, eol - at);
-        if (line.rfind("X-Request-Id:", 0) != 0 &&
-            line.rfind("X-Cache:", 0) != 0)
-            out.append(wire, at, eol + 2 - at);
-        if (line.empty()) {
-            // Header terminator: the body is opaque payload.
-            out.append(wire, eol + 2, std::string::npos);
-            break;
-        }
-        at = eol + 2;
-    }
-    return out;
-}
-
 // ---------------------------------------------------------------------
 // Blob store: golden renders and identity with the service handlers.
 // ---------------------------------------------------------------------
@@ -268,23 +241,27 @@ TEST(BlobStore, UArchsBodyMatchesRendererAndEtagTracksContent)
 }
 
 // ---------------------------------------------------------------------
-// Transport identity: the reactor and the legacy threaded transport
-// must put byte-identical responses on the wire (modulo per-request
-// correlation headers).
+// Wire identity: what the reactor puts on the wire — inline answers
+// and pool-dispatched ones alike — equals handle() on the fully
+// parsed request, serialized (modulo per-request correlation
+// headers).
 // ---------------------------------------------------------------------
 
-TEST(ReactorConformance, WireIdenticalToLegacyTransport)
+TEST(ReactorConformance, WireIdenticalToHandleRender)
 {
     auto reactor_service = makeService();
-    auto legacy_service = makeService();
-    server::HttpServer::Options reactor_options;  // default transport
-    server::HttpServer reactor_http(*reactor_service,
-                                    reactor_options);
-    server::HttpServer::Options legacy_options;
-    legacy_options.reactor = false;
-    server::HttpServer legacy_http(*legacy_service, legacy_options);
-    reactor_http.start();
-    legacy_http.start();
+    auto reference = makeService();
+    server::HttpServer http(*reactor_service);
+    http.start();
+
+    // The bytes httpGet() sends, answered by handle() on a twin
+    // service that sees the same request sequence.
+    auto rendered = [&](const std::string &target) {
+        HttpRequest request = server::parseRequestHead(
+            "GET " + target +
+            " HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n");
+        return server::serializeResponse(reference->handle(request));
+    };
 
     db::Query query;
     query.mnemonic = "ADD";
@@ -308,22 +285,20 @@ TEST(ReactorConformance, WireIdenticalToLegacyTransport)
     };
     for (const std::string &target : targets) {
         std::string via_reactor =
-            canonical(httpGet(reactor_http.port(), target));
-        std::string via_legacy =
-            canonical(httpGet(legacy_http.port(), target));
-        EXPECT_EQ(via_reactor, via_legacy) << target;
+            canonicalWire(httpGet(http.port(), target));
+        EXPECT_EQ(via_reactor, canonicalWire(rendered(target)))
+            << target;
         ASSERT_FALSE(via_reactor.empty()) << target;
     }
 
     // Repeat a cacheable target: the reactor serves the second hit
-    // inline from the cache, and the bytes still match legacy's
-    // cache hit (X-Cache stripped by canonical()).
+    // inline from the cache, and the bytes still match handle()'s
+    // cache hit (X-Cache stripped by canonicalWire()).
     const std::string cached = "/instr/" + name + "?uarch=SKL";
-    EXPECT_EQ(canonical(httpGet(reactor_http.port(), cached)),
-              canonical(httpGet(legacy_http.port(), cached)));
+    EXPECT_EQ(canonicalWire(httpGet(http.port(), cached)),
+              canonicalWire(rendered(cached)));
 
-    reactor_http.stop();
-    legacy_http.stop();
+    http.stop();
 }
 
 // ---------------------------------------------------------------------
@@ -657,6 +632,34 @@ TEST(ReactorTorture, OversizeAndMalformedRequestsAreRefused)
     EXPECT_NE(big.find("HTTP/1.1 413"), std::string::npos) << big;
     EXPECT_NE(big.find("X-Request-Id: too-big\r\n"),
               std::string::npos);
+    ::close(fd);
+
+    // Whitespace between a header name and its colon is malformed
+    // (RFC 7230 §3.2.4): 400 and close, from whichever parser sees
+    // it. The five bytes a lenient reader would frame as the body
+    // ("GET /") open a complete pipelined request; answering it
+    // would mean the stream was framed two different ways.
+    fd = connectTo(http.port());
+    ASSERT_GE(fd, 0);
+    sendRaw(fd, "GET /instr/X HTTP/1.1\r\nHost: x\r\n"
+                "Content-Length : 5\r\n\r\n"
+                "GET /uarchs HTTP/1.1\r\nHost: x\r\n\r\n");
+    std::string spaced = readOneResponse(fd, carry);
+    EXPECT_NE(spaced.find("HTTP/1.1 400"), std::string::npos) << spaced;
+    EXPECT_NE(spaced.find("Connection: close\r\n"), std::string::npos);
+    EXPECT_TRUE(carry.empty()) << carry;
+    EXPECT_EQ(::recv(fd, &byte, 1, 0), 0);
+    ::close(fd);
+
+    fd = connectTo(http.port());
+    ASSERT_GE(fd, 0);
+    sendRaw(fd, "GET /uarchs HTTP/1.1\r\nHost: x\r\n"
+                "If-None-Match : \"x\"\r\n\r\n");
+    std::string inm = readOneResponse(fd, carry);
+    EXPECT_NE(inm.find("HTTP/1.1 400"), std::string::npos) << inm;
+    EXPECT_NE(inm.find("Connection: close\r\n"), std::string::npos);
+    EXPECT_TRUE(carry.empty()) << carry;
+    EXPECT_EQ(::recv(fd, &byte, 1, 0), 0);
     ::close(fd);
 
     http.stop();

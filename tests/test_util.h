@@ -8,6 +8,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include <gtest/gtest.h>
 
@@ -45,6 +46,33 @@ inline isa::Kernel
 asm_(const std::string &listing)
 {
     return isa::assemble(defaultDb(), listing);
+}
+
+/** A wire response without its per-request headers (X-Request-Id,
+ *  X-Cache), so two serving paths can be compared byte for byte. */
+inline std::string
+canonicalWire(const std::string &wire)
+{
+    std::string out;
+    size_t at = 0;
+    while (at < wire.size()) {
+        size_t eol = wire.find("\r\n", at);
+        if (eol == std::string::npos) {
+            out.append(wire, at, std::string::npos);
+            break;
+        }
+        std::string_view line(wire.data() + at, eol - at);
+        if (line.rfind("X-Request-Id:", 0) != 0 &&
+            line.rfind("X-Cache:", 0) != 0)
+            out.append(wire, at, eol + 2 - at);
+        if (line.empty()) {
+            // Header terminator: the body is opaque payload.
+            out.append(wire, eol + 2, std::string::npos);
+            break;
+        }
+        at = eol + 2;
+    }
+    return out;
 }
 
 /** Measurement with default options on the given uarch. */
