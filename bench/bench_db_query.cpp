@@ -1,18 +1,19 @@
 /**
  * @file
- * Benchmarks for the serving subsystem: database point lookups,
+ * Benchmarks for the serving subsystem: shard point lookups,
  * port-mask columnar scans, compound-predicate scans and
  * cross-generation analytics diffs through the scan executor,
  * /predict through the query service with a
  * cold vs. warm response cache, the two ingest paths — direct
- * (per-record appends, exactly what the streaming SweepIngestor does)
- * versus materializing and re-parsing the results XML — and catalog
- * snapshot loading through the zero-copy mmap path versus the
- * copying stream path.
+ * (per-record appends, exactly what the streaming
+ * CatalogSweepIngestor does) versus materializing and re-parsing the
+ * results XML into shards — and catalog loading through the zero-copy
+ * mmap loader.
  *
- * The database is built once from a standard two-uarch sweep slice
- * (the same `id % 4 == 0` slice the batch-sweep scaling study uses),
- * so numbers are comparable across PRs.
+ * The catalog is built once by runCatalogSweep from a standard
+ * two-uarch sweep slice (the same `id % 4 == 0` slice the batch-sweep
+ * scaling study uses), so numbers are comparable across PRs; the
+ * lookups and scans run on its Skylake shard.
  *
  * Machine-readable mode for perf tracking (BENCH_db.json):
  *
@@ -37,10 +38,18 @@
 namespace uops::bench {
 namespace {
 
-const core::CharacterizationReport &
-sliceReport()
+/** The slice swept once: the catalog plus the report that carries
+ *  every outcome (the ingest benchmarks replay it). */
+struct Slice
 {
-    static const core::CharacterizationReport report = [] {
+    core::CharacterizationReport report;
+    std::shared_ptr<const db::DatabaseCatalog> catalog;
+};
+
+const Slice &
+slice()
+{
+    static const Slice built = [] {
         core::BatchOptions options;
         // The scaling-study slice, plus every ADD/IMUL variant so the
         // /predict benchmark kernel is guaranteed to be present.
@@ -48,31 +57,27 @@ sliceReport()
             return v.id() % 4 == 0 || v.mnemonic() == "ADD" ||
                    v.mnemonic() == "IMUL";
         };
-        return core::runBatchSweep(
+        Slice out;
+        out.catalog = db::runCatalogSweep(
             db(), {uarch::UArch::Nehalem, uarch::UArch::Skylake},
-            options);
+            options, nullptr, &out.report);
+        return out;
     }();
-    return report;
-}
-
-const db::InstructionDatabase &
-sliceDb()
-{
-    static const db::InstructionDatabase *database = [] {
-        auto *built = new db::InstructionDatabase();
-        built->ingest(sliceReport());
-        return built;
-    }();
-    return *database;
+    return built;
 }
 
 /** The slice as a sharded catalog (what QueryService serves). */
 std::shared_ptr<const db::DatabaseCatalog>
 sliceCatalog()
 {
-    static const auto catalog =
-        db::DatabaseCatalog::fromMonolith(sliceDb(), 1);
-    return catalog;
+    return slice().catalog;
+}
+
+/** The Skylake shard: the lookup and scan benchmarks' database. */
+const db::InstructionDatabase &
+skylakeShard()
+{
+    return *sliceCatalog()->shard(uarch::UArch::Skylake);
 }
 
 /** On-disk catalog dir for the snapshot_load benchmarks. */
@@ -88,32 +93,38 @@ catalogDir()
     return dir;
 }
 
-/** Direct ingest: drive the actual streaming SweepIngestor over the
- *  report's outcomes — per-record appends from references plus one
- *  index rebuild, exactly the work a sweep's sink performs (no
- *  intermediate CharacterizationSet copy). */
+size_t
+recordsOf(const std::vector<db::ShardEntry> &shards)
+{
+    size_t n = 0;
+    for (const db::ShardEntry &entry : shards)
+        n += entry.db->numRecords();
+    return n;
+}
+
+/** Direct ingest: drive the actual streaming CatalogSweepIngestor
+ *  over the report's outcomes — per-record appends from references
+ *  plus one index rebuild per shard, exactly the work a sweep's sink
+ *  performs (no intermediate CharacterizationSet copy). */
 size_t
 ingestDirect()
 {
-    db::InstructionDatabase built;
-    db::SweepIngestor ingestor(built);
-    for (const core::UArchReport &r : sliceReport().uarches)
+    db::CatalogSweepIngestor ingestor;
+    for (const core::UArchReport &r : slice().report.uarches)
         for (const core::VariantOutcome &outcome : r.outcomes)
             ingestor.onVariant(r.arch, outcome);
     ingestor.finish();
-    return built.numRecords();
+    return recordsOf(ingestor.takeShards());
 }
 
-/** The legacy path this PR removes from the hot loop: materialize the
- *  Section 6.4 XML tree, serialize, re-parse, ingest the document. */
+/** The XML path: materialize the Section 6.4 XML tree, serialize,
+ *  re-parse, ingest the document into shards. */
 size_t
 ingestViaXml()
 {
     isa::ResultsDoc doc =
-        isa::parseResultsXml(sliceReport().toXmlString());
-    db::InstructionDatabase built;
-    built.ingestResults(doc, &db());
-    return built.numRecords();
+        isa::parseResultsXml(slice().report.toXmlString());
+    return recordsOf(db::ingestResults(doc, &db()));
 }
 
 /** Names of every Skylake record (lookup working set). */
@@ -122,10 +133,9 @@ skylakeNames()
 {
     static const std::vector<std::string> names = [] {
         std::vector<std::string> out;
-        db::Query query;
-        query.arch = uarch::UArch::Skylake;
-        for (uint32_t row : sliceDb().search(query))
-            out.emplace_back(sliceDb().record(row).name());
+        const db::InstructionDatabase &shard = skylakeShard();
+        for (uint32_t row = 0; row < shard.numRecords(); ++row)
+            out.emplace_back(shard.record(row).name());
         return out;
     }();
     return names;
@@ -156,12 +166,11 @@ predictRequest(size_t salt)
 void
 BM_PointLookup(benchmark::State &state)
 {
-    const auto &database = sliceDb();
+    const auto &database = skylakeShard();
     const auto &names = skylakeNames();
     size_t i = 0;
     for (auto _ : state) {
-        auto row = database.find(uarch::UArch::Skylake,
-                                 names[i++ % names.size()]);
+        auto row = database.find(names[i++ % names.size()]);
         benchmark::DoNotOptimize(
             database.record(*row).tpMeasured());
     }
@@ -171,7 +180,7 @@ BENCHMARK(BM_PointLookup);
 void
 BM_PortMaskScan(benchmark::State &state)
 {
-    const auto &database = sliceDb();
+    const auto &database = skylakeShard();
     db::Query query;
     query.arch = uarch::UArch::Skylake;
     query.uses_ports = uarch::portMask({0, 5});
@@ -185,7 +194,7 @@ BENCHMARK(BM_PortMaskScan);
 void
 BM_ScanCompound(benchmark::State &state)
 {
-    const auto &database = sliceDb();
+    const auto &database = skylakeShard();
     db::Query query;
     query.arch = uarch::UArch::Skylake;
     query.uses_ports = uarch::portMask({0, 5});
@@ -226,18 +235,6 @@ BM_SnapshotLoadMmap(benchmark::State &state)
 BENCHMARK(BM_SnapshotLoadMmap)->Unit(benchmark::kMicrosecond);
 
 void
-BM_SnapshotLoadStream(benchmark::State &state)
-{
-    catalogDir();
-    for (auto _ : state) {
-        auto catalog = db::loadCatalogDir(
-            catalogDir(), db::LoadMode::Stream, false);
-        benchmark::DoNotOptimize(catalog->numRecords());
-    }
-}
-BENCHMARK(BM_SnapshotLoadStream)->Unit(benchmark::kMicrosecond);
-
-void
 BM_PredictUncached(benchmark::State &state)
 {
     server::QueryService service(sliceCatalog(), db());
@@ -265,7 +262,7 @@ BENCHMARK(BM_PredictCached)->Unit(benchmark::kMicrosecond);
 void
 BM_IngestDirect(benchmark::State &state)
 {
-    sliceReport();   // build outside the timed region
+    slice();   // build outside the timed region
     for (auto _ : state)
         benchmark::DoNotOptimize(ingestDirect());
 }
@@ -274,7 +271,7 @@ BENCHMARK(BM_IngestDirect)->Unit(benchmark::kMicrosecond);
 void
 BM_IngestViaXml(benchmark::State &state)
 {
-    sliceReport();
+    slice();
     for (auto _ : state)
         benchmark::DoNotOptimize(ingestViaXml());
 }
@@ -326,13 +323,12 @@ timedLoop(const char *name, size_t iterations, Fn &&fn)
 int
 jsonMode(const std::string &path)
 {
-    const auto &database = sliceDb();
+    const auto &database = skylakeShard();
     const auto &names = skylakeNames();
 
     std::vector<JsonRun> runs;
     runs.push_back(timedLoop("point_lookup", 200000, [&](size_t i) {
-        auto row = database.find(uarch::UArch::Skylake,
-                                 names[i % names.size()]);
+        auto row = database.find(names[i % names.size()]);
         benchmark::DoNotOptimize(
             database.record(*row).tpMeasured());
     }));
@@ -430,15 +426,10 @@ jsonMode(const std::string &path)
                                           db::LoadMode::Mmap, false);
         benchmark::DoNotOptimize(catalog->numRecords());
     }));
-    runs.push_back(
-        timedLoop("snapshot_load_stream", 2000, [&](size_t) {
-            auto catalog = db::loadCatalogDir(
-                catalogDir(), db::LoadMode::Stream, false);
-            benchmark::DoNotOptimize(catalog->numRecords());
-        }));
 
     std::string out = "{\n  \"benchmark\": \"bench_db_query\",\n";
-    out += "  \"records\": " + std::to_string(database.numRecords()) +
+    out += "  \"records\": " +
+           std::to_string(sliceCatalog()->numRecords()) +
            ",\n  \"runs\": [\n";
     for (size_t i = 0; i < runs.size(); ++i) {
         char buf[200];

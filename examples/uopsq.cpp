@@ -21,16 +21,13 @@
  *
  *   uopsq ingest RESULTS.xml --out DIR
  *       Re-ingest a previously exported results XML (uopsInfo or
- *       uopsBatch root) into a catalog — the XML ingest path.
- *
- *   uopsq migrate V2.snap DIR
- *       Lossless legacy-monolith → sharded-catalog conversion: each
- *       shard is bit-identical to what a fresh sweep would write
- *       (v1 snapshots remain refused).
+ *       uopsBatch root) into a catalog — the XML ingest path, one
+ *       shard per uarch, bit-identical to what the sweep wrote.
  *
  *   uopsq info PATH
  *       Print generation and per-shard record counts / content
- *       hashes. PATH may be a catalog dir or a legacy v2 snapshot.
+ *       hashes. PATH must be a catalog directory (every PATH below
+ *       too); older single-file containers are refused by version.
  *
  *   uopsq query PATH [--uarch SKL] [--name N] [--mnemonic M]
  *                    [--extension E] [--uses p05] [--uses-only p015]
@@ -53,15 +50,14 @@
  *       prediction succeeded.
  *
  *   uopsq serve PATH [--port P] [--address A] [--threads N]
- *                    [--reactor-threads N]
- *                    [--load mmap|stream] [--watch SECONDS]
+ *                    [--reactor-threads N] [--watch SECONDS]
  *                    [--drain-ms MS] [--log-level LEVEL]
  *       Start the HTTP/1.1 JSON API (port 0 picks an ephemeral port;
  *       the chosen port is printed). Requests are served through the
  *       epoll reactor (--reactor-threads, default min(4, hardware)),
  *       which answers cache, blob and 304 hits inline and hands the
  *       rest to a pool of --threads workers (default: hardware).
- *       Catalog shards are memory-mapped zero-copy by default.
+ *       Catalog shards are memory-mapped zero-copy.
  *       POST /reload hot-swaps to the current on-disk generation
  *       without dropping a request; --watch polls
  *       the manifest and reloads automatically when a characterize
@@ -124,7 +120,6 @@ usage()
         "usage: uopsq characterize --out DIR [--arches A,B | --uarch A]"
         " [--threads N] [--mod N] [--xml OUT] [--progress]\n"
         "       uopsq ingest RESULTS.xml --out DIR\n"
-        "       uopsq migrate V2.snap DIR\n"
         "       uopsq info PATH\n"
         "       uopsq query PATH [filters...]\n"
         "       uopsq diff PATH ARCH_A ARCH_B\n"
@@ -132,7 +127,7 @@ usage()
         " --file KERNEL.s]\n"
         "       uopsq serve PATH [--port P] [--address A] [--threads N]"
         " [--reactor-threads N]"
-        " [--load mmap|stream] [--watch SECONDS] [--drain-ms MS]"
+        " [--watch SECONDS] [--drain-ms MS]"
         " [--log-level LEVEL]\n");
     std::exit(1);
 }
@@ -199,17 +194,6 @@ parseArches(const std::string &list)
         out.push_back(uarch::parseUArch(name));
     fatalIf(out.empty(), "empty uarch list");
     return out;
-}
-
-db::LoadMode
-parseLoadMode(const Args &args)
-{
-    const std::string *mode = args.option("load");
-    if (mode == nullptr || *mode == "mmap")
-        return db::LoadMode::Mmap;
-    fatalIf(*mode != "stream", "option --load expects mmap or stream, "
-                               "got '", *mode, "'");
-    return db::LoadMode::Stream;
 }
 
 int
@@ -344,27 +328,12 @@ cmdIngest(const Args &args)
 
     auto instrs = isa::buildDefaultDb();
     isa::ResultsDoc doc = isa::parseResultsXml(text.str());
-    db::InstructionDatabase database;
-    database.ingestResults(doc, instrs.get());
-    auto catalog = db::DatabaseCatalog::fromMonolith(database, 1);
+    auto catalog = std::make_shared<db::DatabaseCatalog>(
+        db::ingestResults(doc, instrs.get()), 1);
     db::saveCatalogDir(*catalog, *out_dir);
     std::printf("wrote %s (%zu records from %zu uarches)\n",
                 out_dir->c_str(), catalog->numRecords(),
                 doc.uarches.size());
-    return 0;
-}
-
-int
-cmdMigrate(const Args &args)
-{
-    fatalIf(args.positional.size() != 2,
-            "migrate: expected V2.snap and an output directory");
-    db::migrateSnapshot(args.positional[0], args.positional[1]);
-    auto catalog = db::loadCatalogDir(args.positional[1]);
-    std::printf("migrated %s -> %s (%zu records, %zu shards)\n",
-                args.positional[0].c_str(),
-                args.positional[1].c_str(), catalog->numRecords(),
-                catalog->shards().size());
     return 0;
 }
 
@@ -514,8 +483,7 @@ cmdPredict(const Args &args)
 
     auto instrs = isa::buildDefaultDb();
     server::QueryService service(
-        db::openCatalog(args.positional[0], parseLoadMode(args)),
-        *instrs);
+        db::openCatalog(args.positional[0]), *instrs);
 
     // Drive the exact request path the HTTP server serves, so the
     // offline tool can never drift from the service.
@@ -535,7 +503,6 @@ cmdServe(const Args &args)
 {
     fatalIf(args.positional.size() != 1, "serve: expected PATH");
     const std::string path = args.positional[0];
-    const db::LoadMode mode = parseLoadMode(args);
     auto instrs = isa::buildDefaultDb();
 
     // Serving is the one mode where the structured access log earns
@@ -556,16 +523,16 @@ cmdServe(const Args &args)
     // this scope.
     db::RecoveryReport open_report;
     server::QueryService service(
-        db::openCatalog(path, mode, &open_report), *instrs,
-        service_options);
+        db::openCatalog(path, db::LoadMode::Mmap, &open_report),
+        *instrs, service_options);
     if (open_report.recovered || !open_report.events.empty()) {
         std::fprintf(stderr, "catalog recovery: %s\n",
                      open_report.summary().c_str());
         for (const std::string &event : open_report.events)
             std::fprintf(stderr, "  %s\n", event.c_str());
     }
-    service.setReloader([path, mode](db::RecoveryReport &report) {
-        auto next = db::openCatalog(path, mode, &report);
+    service.setReloader([path](db::RecoveryReport &report) {
+        auto next = db::openCatalog(path, db::LoadMode::Mmap, &report);
         if (report.recovered || !report.events.empty()) {
             std::fprintf(stderr, "catalog recovery: %s\n",
                          report.summary().c_str());
@@ -608,8 +575,6 @@ cmdServe(const Args &args)
         .event(obs::LogLevel::Info, "serve", "startup")
         .str("address", options.bind_address)
         .num("port", static_cast<uint64_t>(http.port()))
-        .str("load_mode",
-             mode == db::LoadMode::Mmap ? "mmap" : "stream")
         .num("generation", service.catalog()->generation())
         .num("records", static_cast<uint64_t>(
                             service.catalog()->numRecords()))
@@ -676,8 +641,6 @@ try {
         return cmdCharacterize(args);
     if (command == "ingest")
         return cmdIngest(args);
-    if (command == "migrate")
-        return cmdMigrate(args);
     if (command == "info")
         return cmdInfo(args);
     if (command == "query")

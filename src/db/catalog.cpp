@@ -85,11 +85,11 @@ class FnvStreamBuf final : public std::streambuf
 };
 
 uint64_t
-shardHash(const InstructionDatabase &db, uarch::UArch arch)
+shardHash(const InstructionDatabase &db)
 {
     FnvStreamBuf buffer;
     std::ostream os(&buffer);
-    saveShard(db, arch, os);
+    saveShard(db, os);
     return buffer.hash();
 }
 
@@ -107,9 +107,30 @@ sortedNames(const InstructionDatabase &db)
     return out;
 }
 
-} // namespace
+/** Field-by-field record comparison: the definition of "changed" for
+ *  diff(). */
+void
+compareRecords(const RecordView &a, const RecordView &b,
+               CatalogDiffEntry &entry)
+{
+    entry.tp_differs = a.tpMeasured() != b.tpMeasured();
+    entry.ports_differ = !(a.portUsage() == b.portUsage());
+    auto lats_a = a.latencies();
+    auto lats_b = b.latencies();
+    entry.latency_differs = lats_a.size() != lats_b.size();
+    for (size_t i = 0; !entry.latency_differs && i < lats_a.size();
+         ++i) {
+        const auto &la = lats_a[i];
+        const auto &lb = lats_b[i];
+        entry.latency_differs =
+            la.src_op != lb.src_op || la.dst_op != lb.dst_op ||
+            la.cycles != lb.cycles ||
+            la.upper_bound != lb.upper_bound ||
+            la.slow_cycles != lb.slow_cycles;
+    }
+}
 
-const char *const kManifestFile = "manifest";
+} // namespace
 
 std::string
 manifestFileName(uint64_t generation)
@@ -147,15 +168,13 @@ DatabaseCatalog::DatabaseCatalog(std::vector<ShardEntry> shards,
     for (ShardEntry &entry : shards_) {
         fatalIf(entry.db == nullptr, "db catalog: null shard for ",
                 uarch::uarchShortName(entry.arch));
-        for (uarch::UArch arch : entry.db->uarches())
-            fatalIf(arch != entry.arch,
-                    "db catalog: shard for ",
-                    uarch::uarchShortName(entry.arch),
-                    " contains records for ",
-                    uarch::uarchShortName(arch));
+        fatalIf(entry.db->arch() != entry.arch,
+                "db catalog: shard for ",
+                uarch::uarchShortName(entry.arch), " holds ",
+                uarch::uarchShortName(entry.db->arch()), " records");
         entry.records = entry.db->numRecords();
         if (entry.hash == 0)
-            entry.hash = shardHash(*entry.db, entry.arch);
+            entry.hash = shardHash(*entry.db);
         if (entry.file.empty())
             entry.file = shardFileName(entry.arch, entry.hash);
     }
@@ -226,20 +245,10 @@ DatabaseCatalog::find(uarch::UArch arch, std::string_view name) const
     const InstructionDatabase *db = shard(arch);
     if (db == nullptr)
         return std::nullopt;
-    auto row = db->find(arch, name);
+    auto row = db->find(name);
     if (!row)
         return std::nullopt;
     return db->record(*row);
-}
-
-std::vector<RecordView>
-DatabaseCatalog::findByName(std::string_view name) const
-{
-    std::vector<RecordView> out;
-    for (const ShardEntry &entry : shards_)
-        if (auto row = entry.db->find(entry.arch, name))
-            out.push_back(entry.db->record(*row));
-    return out;
 }
 
 std::vector<RecordView>
@@ -266,9 +275,8 @@ DatabaseCatalog::diff(uarch::UArch a, uarch::UArch b) const
     const InstructionDatabase *db_a = shard(a);
     const InstructionDatabase *db_b = shard(b);
 
-    // Merge-walk the two shards' name-sorted records: the same visit
-    // order as the monolith's by-name index walk, so only_a / only_b
-    // and the changed list keep their historical ordering.
+    // Merge-walk the two shards' name-sorted records, so only_a,
+    // only_b and the changed list come out name-ordered.
     auto names_a = db_a
                        ? sortedNames(*db_a)
                        : std::vector<
@@ -313,13 +321,10 @@ DatabaseCatalog::analytics(const AnalyticsQuery &query) const
         return out;
 
     // One filtered executor scan per side, name-sorted; the merge
-    // below then pairs and classifies. The filter's arch constraint
-    // is meaningless here (each side *is* one uarch) and its limit
-    // must not truncate a side mid-merge, so both are neutralized.
-    Query filter = query.filter;
-    filter.arch.reset();
-    filter.limit = SIZE_MAX;
-    PredicateSet preds = predicatesFromQuery(filter);
+    // below then pairs and classifies. Each side *is* one uarch, so
+    // the filter's arch field is ignored (predicatesFromQuery never
+    // reads it), and its limit must not truncate a side mid-merge.
+    PredicateSet preds = predicatesFromQuery(query.filter);
     auto side = [&preds](const InstructionDatabase &db) {
         std::vector<std::pair<std::string_view, uint32_t>> names;
         std::vector<uint32_t> rows = ScanExecutor(db).run(preds);
@@ -392,48 +397,7 @@ DatabaseCatalog::toCharacterizationSet(
         empty.arch = arch;
         return empty;
     }
-    return db->toCharacterizationSet(arch, instr_db);
-}
-
-std::shared_ptr<const DatabaseCatalog>
-DatabaseCatalog::fromMonolith(const InstructionDatabase &db,
-                              uint64_t generation)
-{
-    std::vector<ShardEntry> shards;
-    for (uarch::UArch arch : db.uarches()) {
-        auto shard = std::make_unique<InstructionDatabase>();
-        const uint8_t arch_id = static_cast<uint8_t>(arch);
-        for (uint32_t row = 0;
-             row < static_cast<uint32_t>(db.numRecords()); ++row) {
-            if (db.arch_[row] != arch_id)
-                continue;
-            // Repackage through Canonical: bit-identical to a fresh
-            // single-uarch ingest because row order and per-shard
-            // string interning order are both preserved.
-            RecordView view = db.record(row);
-            InstructionDatabase::Canonical rec;
-            rec.arch = arch_id;
-            rec.name = std::string(view.name());
-            rec.mnemonic = std::string(view.mnemonic());
-            rec.extension = std::string(view.extension());
-            rec.usage = view.portUsage();
-            rec.tp_measured = view.tpMeasured();
-            rec.tp_breakers = view.tpWithBreakers();
-            rec.tp_slow = view.tpSlow();
-            rec.tp_ports = view.tpFromPorts();
-            rec.lats = view.latencies();
-            rec.same_reg = view.sameRegCycles();
-            rec.store_rt = view.storeRoundTrip();
-            shard->append(rec);
-        }
-        shard->rebuildIndexes();
-        ShardEntry entry;
-        entry.arch = arch;
-        entry.db = std::move(shard);
-        shards.push_back(std::move(entry));
-    }
-    return std::make_shared<DatabaseCatalog>(std::move(shards),
-                                             generation);
+    return db->toCharacterizationSet(instr_db);
 }
 
 std::shared_ptr<const DatabaseCatalog>
@@ -564,34 +528,13 @@ parseManifest(const std::string &bytes, const std::string &dir)
     return manifest;
 }
 
-/** Generation claimed by a manifest file's 24-byte header; nullopt
- *  when the file is missing, too short, or has the wrong magic. */
-std::optional<uint64_t>
-manifestHeaderGeneration(const std::string &path)
-{
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        return std::nullopt;
-    char head[24];
-    is.read(head, sizeof head);
-    if (static_cast<size_t>(is.gcount()) != sizeof head)
-        return std::nullopt;
-    if (std::memcmp(head, kManifestMagic, 8) != 0)
-        return std::nullopt;
-    uint64_t generation = 0;
-    std::memcpy(&generation, head + 16, sizeof generation);
-    return generation;
-}
-
 struct ManifestCandidate
 {
     uint64_t generation = 0;
     std::string name;      ///< file name inside the catalog dir
-    bool legacy = false;   ///< plain "manifest" (pre-numbered store)
 };
 
-/** All manifest files in @p dir, newest generation first (numbered
- *  preferred over legacy on a tie). For numbered manifests the
+/** All manifest files in @p dir, newest generation first. The
  *  generation comes from the file name — a truncated file must still
  *  be enumerated (and then rejected by verification) rather than
  *  silently skipped. */
@@ -602,13 +545,6 @@ listManifests(const std::string &dir)
     std::error_code ec;
     for (const auto &de : fs::directory_iterator(dir, ec)) {
         const std::string name = de.path().filename().string();
-        if (name == kManifestFile) {
-            auto gen = manifestHeaderGeneration(de.path().string());
-            // An unreadable legacy header sorts last (generation 0)
-            // but stays a candidate so its rejection is reported.
-            out.push_back({gen.value_or(0), name, true});
-            continue;
-        }
         constexpr std::string_view prefix = "manifest.";
         if (name.size() != prefix.size() + 10 ||
             name.compare(0, prefix.size(), prefix) != 0)
@@ -623,14 +559,12 @@ listManifests(const std::string &dir)
             gen = gen * 10 + static_cast<uint64_t>(name[i] - '0');
         }
         if (digits)
-            out.push_back({gen, name, false});
+            out.push_back({gen, name});
     }
     std::sort(out.begin(), out.end(),
               [](const ManifestCandidate &a,
                  const ManifestCandidate &b) {
-                  if (a.generation != b.generation)
-                      return a.generation > b.generation;
-                  return a.legacy < b.legacy;
+                  return a.generation > b.generation;
               });
     return out;
 }
@@ -641,7 +575,7 @@ listManifests(const std::string &dir)
  *  candidate or the whole store. */
 std::shared_ptr<const DatabaseCatalog>
 loadManifestCatalog(const std::string &dir, const Manifest &manifest,
-                    LoadMode mode, bool verify_hashes)
+                    bool verify_hashes)
 {
     std::vector<ShardEntry> shards;
     for (const ManifestShard &ms : manifest.shards) {
@@ -651,21 +585,12 @@ loadManifestCatalog(const std::string &dir, const Manifest &manifest,
         entry.arch = arch;
         entry.hash = ms.hash;
         entry.file = ms.file;
-        if (mode == LoadMode::Mmap) {
-            auto mapping = mapFile(path);
-            catalogCheck(verify_hashes &&
-                             fnv1a64(mapping->view()) != ms.hash,
-                         "db catalog: shard ", path,
-                         " does not match its manifest hash");
-            entry.db = loadShardMapped(std::move(mapping), arch);
-        } else {
-            std::string bytes = readFileBytes(path, "catalog.shard");
-            catalogCheck(verify_hashes && fnv1a64(bytes) != ms.hash,
-                         "db catalog: shard ", path,
-                         " does not match its manifest hash");
-            std::istringstream is(bytes, std::ios::binary);
-            entry.db = loadShard(is, arch);
-        }
+        auto mapping = mapFile(path);
+        catalogCheck(verify_hashes &&
+                         fnv1a64(mapping->view()) != ms.hash,
+                     "db catalog: shard ", path,
+                     " does not match its manifest hash");
+        entry.db = loadShardMapped(std::move(mapping), arch);
         catalogCheck(entry.db->numRecords() != ms.records,
                      "db catalog: shard ", path, " holds ",
                      entry.db->numRecords(),
@@ -769,8 +694,7 @@ saveCatalogDir(const DatabaseCatalog &catalog, const std::string &dir)
                          " (corrupt store?)");
             continue;
         }
-        writeFileAtomic(path, shardBytes(*entry.db, entry.arch),
-                        "catalog.shard");
+        writeFileAtomic(path, shardBytes(*entry.db), "catalog.shard");
     }
 
     // COMMIT POINT of the whole save: the rename inside this
@@ -789,7 +713,7 @@ saveCatalogDir(const DatabaseCatalog &catalog, const std::string &dir)
     std::vector<ManifestCandidate> manifests = listManifests(dir);
     size_t kept = 0;
     for (const ManifestCandidate &cand : manifests) {
-        if (cand.legacy || ++kept <= kManifestRetention)
+        if (++kept <= kManifestRetention)
             continue;
         try {
             removeFile(dir + "/" + cand.name);
@@ -800,7 +724,7 @@ saveCatalogDir(const DatabaseCatalog &catalog, const std::string &dir)
 }
 
 std::shared_ptr<const DatabaseCatalog>
-loadCatalogDir(const std::string &dir, LoadMode mode,
+loadCatalogDir(const std::string &dir, LoadMode,
                bool verify_hashes, RecoveryReport *report)
 {
     if (report)
@@ -820,8 +744,7 @@ loadCatalogDir(const std::string &dir, LoadMode mode,
                 readFileBytes(dir + "/" + cand.name,
                               "catalog.manifest"),
                 dir);
-            catalog = loadManifestCatalog(dir, manifest, mode,
-                                          verify_hashes);
+            catalog = loadManifestCatalog(dir, manifest, verify_hashes);
         } catch (const FatalError &e) {
             // This candidate is bad; an older generation may still
             // verify. InjectedCrash is deliberately not caught —
@@ -901,24 +824,19 @@ std::shared_ptr<const DatabaseCatalog>
 openCatalog(const std::string &path, LoadMode mode,
             RecoveryReport *report)
 {
-    if (fs::is_directory(path))
+    std::error_code ec;
+    if (fs::is_directory(path, ec))
         return loadCatalogDir(path, mode, true, report);
-    if (report)
-        *report = RecoveryReport{};
-    // Legacy single-file containers: split into per-uarch shards so
-    // everything downstream speaks catalog. Generation 0 marks "not
-    // from a sharded store".
-    auto monolith = loadSnapshotFile(path);
-    return DatabaseCatalog::fromMonolith(*monolith, 0);
-}
-
-void
-migrateSnapshot(const std::string &snapshot_path,
-                const std::string &dir)
-{
-    auto monolith = loadSnapshotFile(snapshot_path);
-    auto catalog = DatabaseCatalog::fromMonolith(*monolith, 1);
-    saveCatalogDir(*catalog, dir);
+    catalogCheck(!fs::exists(path, ec), "db catalog: ", path,
+                 " does not exist");
+    // A single-file container from before the catalog store: name its
+    // version rather than calling it "not a directory".
+    char head[12] = {};
+    std::ifstream is(path, std::ios::binary);
+    is.read(head, sizeof head);
+    refuseRetiredContainer(
+        std::string_view(head, static_cast<size_t>(is.gcount())), path);
+    catalogFail("db catalog: ", path, " is not a catalog directory");
 }
 
 // ---------------------------------------------------------------------
@@ -936,10 +854,9 @@ CatalogSweepIngestor::onVariant(uarch::UArch arch,
     if (it == shards_.end())
         it = shards_
                  .emplace(arch,
-                          std::make_unique<InstructionDatabase>())
+                          std::make_unique<InstructionDatabase>(arch))
                  .first;
-    it->second->appendCharacterization(static_cast<uint8_t>(arch),
-                                       outcome.result);
+    it->second->appendCharacterization(outcome.result);
     ++ingested_;
 }
 
@@ -949,7 +866,7 @@ CatalogSweepIngestor::declareArch(uarch::UArch arch)
     panicIf(finished_, "CatalogSweepIngestor: declareArch after finish");
     if (shards_.find(arch) == shards_.end())
         shards_.emplace(arch,
-                        std::make_unique<InstructionDatabase>());
+                        std::make_unique<InstructionDatabase>(arch));
 }
 
 void
@@ -975,6 +892,49 @@ CatalogSweepIngestor::takeShards()
         out.push_back(std::move(entry));
     }
     shards_.clear();
+    return out;
+}
+
+std::vector<ShardEntry>
+ingestResults(const isa::ResultsDoc &doc, const isa::InstrDb *resolve)
+{
+    std::map<uarch::UArch, std::unique_ptr<InstructionDatabase>> shards;
+    for (const isa::UArchResults &ua : doc.uarches) {
+        uarch::UArch arch = uarch::parseUArch(ua.architecture);
+        auto &db = shards[arch];
+        if (db == nullptr)
+            db = std::make_unique<InstructionDatabase>(arch);
+        for (const isa::InstrResult &r : ua.instrs) {
+            InstructionDatabase::Canonical rec;
+            rec.name = r.name;
+            rec.mnemonic = r.mnemonic;
+            const isa::InstrVariant *variant =
+                resolve ? resolve->byName(r.name) : nullptr;
+            rec.extension =
+                variant ? isa::extensionName(variant->extension())
+                        : std::string("?");
+            rec.usage = uarch::PortUsage::fromString(r.ports);
+            // The parser already yields canonical Cycles (foreign
+            // precision was re-rounded at the isa boundary), so the
+            // XML path stores exactly what the sweep path does.
+            rec.tp_measured = r.tp_measured;
+            rec.tp_breakers = r.tp_with_breakers;
+            rec.tp_slow = r.tp_slow;
+            rec.tp_ports = r.tp_from_ports;
+            rec.lats = r.latencies;
+            rec.same_reg = r.same_reg_cycles;
+            rec.store_rt = r.store_roundtrip;
+            db->append(rec);
+        }
+    }
+    std::vector<ShardEntry> out;
+    for (auto &[arch, db] : shards) {
+        db->rebuildIndexes();
+        ShardEntry entry;
+        entry.arch = arch;
+        entry.db = std::move(db);
+        out.push_back(std::move(entry));
+    }
     return out;
 }
 

@@ -1,37 +1,35 @@
 /**
  * @file
- * The sharded storage engine: per-uarch snapshot shards behind one
- * queryable catalog, with generation-numbered manifests, incremental
- * splicing, and atomic hot-swap friendly ownership.
+ * The sharded storage engine: per-uarch shards behind one queryable
+ * catalog, with generation-numbered manifests, incremental splicing,
+ * and atomic hot-swap friendly ownership.
  *
  * uops.info is a living dataset — the pipeline re-runs per
  * microarchitecture and republishes without rebuilding the world. The
- * monolithic InstructionDatabase snapshot could not express that: one
- * blob, rewritten wholesale, reloaded only by restarting the server.
- * The catalog splits storage at the natural boundary, one shard
- * (a single-uarch InstructionDatabase) per microarchitecture:
+ * catalog splits storage at that natural boundary, one shard (an
+ * InstructionDatabase, which holds exactly one uarch) per
+ * microarchitecture:
  *
  *   catalog-dir/
- *     manifest            generation number + per-shard (uarch,
- *                         record count, content hash, file name)
- *     SKL-<hash16>.shard  version-3 shard containers, named by the
- *     NHM-<hash16>.shard  FNV-1a hash of their bytes
+ *     manifest.0000000007  generation number + per-shard (uarch,
+ *                          record count, content hash, file name)
+ *     SKL-<hash16>.shard   version-3 shard containers, named by the
+ *     NHM-<hash16>.shard   FNV-1a hash of their bytes
  *
  * Content-addressed shard files make every useful property fall out:
  * an incremental re-sweep writes only the shards it re-characterized
  * (unchanged uarches keep their file, hash-verified), the manifest
- * swap is a single atomic rename, and a serving process can mmap
+ * commit is a single atomic rename, and a serving process can mmap
  * shards zero-copy without fear of in-place rewrites. Shards are held
  * as shared_ptr<const InstructionDatabase>, so a spliced catalog
  * shares untouched shards with its predecessor and a hot-swapped
  * server generation keeps old shards alive until the last in-flight
  * request drops its handle.
  *
- * A catalog answers the same queries the monolith did, routing by
- * uarch where possible and merging across shards (in chronological
- * uarch order, matching the monolith's arch-major row order) where
- * not. Catalogs are immutable once built; "mutation" is constructing
- * the next generation.
+ * A catalog routes queries by uarch where possible and concatenates
+ * across shards in chronological uarch order where not. Catalogs are
+ * immutable once built; "mutation" is constructing the next
+ * generation.
  */
 
 #ifndef UOPS_DB_CATALOG_H
@@ -42,6 +40,7 @@
 #include <string>
 #include <vector>
 
+#include "core/batch.h"
 #include "db/database.h"
 #include "db/snapshot.h"
 
@@ -50,9 +49,10 @@ namespace uops::db {
 /**
  * The catalog store is unusable or inconsistent: no loadable
  * generation, a content-addressed file whose bytes disagree with its
- * name, a malformed manifest. Derived from FatalError so generic
- * handlers keep working; callers that can degrade (server /reload,
- * `uopsq migrate`) catch it and keep the previous generation.
+ * name, a malformed manifest, a path that is not a catalog
+ * directory. Derived from FatalError so generic handlers keep
+ * working; callers that can degrade (server /reload) catch it and
+ * keep the previous generation.
  */
 class CatalogError : public FatalError
 {
@@ -93,16 +93,16 @@ struct RecoveryReport
     std::string summary() const;
 };
 
-/** How shard containers are brought into memory. */
+/** How shards are brought into memory. There is one loader: the
+ *  zero-copy mmap one (columns point into the mapped file). */
 enum class LoadMode {
-    Mmap,     ///< zero-copy: columns point into the mapped file
-    Stream,   ///< portable copy through iostreams
+    Mmap,
 };
 
 /** One microarchitecture's shard inside a catalog. */
 struct ShardEntry
 {
-    uarch::UArch arch = uarch::UArch::Nehalem;
+    uarch::UArch arch = uarch::UArch::Nehalem;  ///< == db->arch()
     std::shared_ptr<const InstructionDatabase> db;
     uint64_t records = 0;
     uint64_t hash = 0;        ///< FNV-1a 64 of the shard file bytes
@@ -176,9 +176,10 @@ struct AnalyticsResult
 class DatabaseCatalog
 {
   public:
-    /** Build from per-uarch shards (each must be single-uarch; they
-     *  are sorted into chronological uarch order). Hashes and record
-     *  counts are computed for entries that carry none. */
+    /** Build from per-uarch shards (each entry's arch must be its
+     *  database's; they are sorted into chronological uarch order).
+     *  Hashes and record counts are computed for entries that carry
+     *  none. */
     DatabaseCatalog(std::vector<ShardEntry> shards,
                     uint64_t generation);
 
@@ -201,23 +202,21 @@ class DatabaseCatalog
     /** The shard for one uarch; nullptr when absent. */
     const InstructionDatabase *shard(uarch::UArch arch) const;
 
-    // ---- monolith-equivalent queries --------------------------------
+    // ---- routed queries ---------------------------------------------
 
     size_t numRecords() const;
     size_t numRecords(uarch::UArch arch) const;
+
+    /** Uarches with at least one record, in chronological order. */
     std::vector<uarch::UArch> uarches() const;
 
     std::optional<RecordView> find(uarch::UArch arch,
                                    std::string_view name) const;
 
-    /** All records with this variant name, in uarch order. */
-    std::vector<RecordView> findByName(std::string_view name) const;
-
     /**
      * Indexed search. Routed to a single shard when the query
      * constrains the uarch; otherwise per-shard results are
-     * concatenated in chronological uarch order — exactly the row
-     * order of the old arch-major monolith. Query::limit spans
+     * concatenated in chronological uarch order. Query::limit spans
      * shards.
      */
     std::vector<RecordView> search(const Query &query) const;
@@ -235,16 +234,6 @@ class DatabaseCatalog
     // ---- construction helpers ---------------------------------------
 
     /**
-     * Split a multi-uarch monolith into per-uarch shards (the v2 ->
-     * v3 migration, and the compatibility path for loading legacy
-     * snapshots). Lossless and deterministic: each shard's bytes are
-     * identical to what a fresh single-uarch sweep of the same
-     * results would produce.
-     */
-    static std::shared_ptr<const DatabaseCatalog>
-    fromMonolith(const InstructionDatabase &db, uint64_t generation);
-
-    /**
      * Next generation: @p base with @p fresh shards spliced in (per
      * uarch, replacing or adding); untouched shards are shared, not
      * copied. This is the commit step of an incremental sweep.
@@ -259,11 +248,6 @@ class DatabaseCatalog
 };
 
 // ---- directory store -------------------------------------------------
-
-/** Legacy (pre-numbered) manifest file name inside a catalog
- *  directory. Still read as a fallback candidate; no longer
- *  written. */
-extern const char *const kManifestFile;
 
 /** Per-generation manifest file name ("manifest.0000000007"). Each
  *  save commits one of these; the newest fully-verified one wins on
@@ -308,34 +292,30 @@ std::optional<uint64_t>
 readCatalogGeneration(const std::string &dir);
 
 /**
- * Open either storage format: a directory is a v3 sharded catalog
- * (with recovery semantics as loadCatalogDir), a file is a legacy v2
- * monolith (split per uarch via fromMonolith, generation 0) or a
- * single v3 shard file.
+ * Open the catalog directory at @p path (recovery semantics as
+ * loadCatalogDir). A missing path or a non-directory throws
+ * CatalogError naming it; a retired single-file container (v1, v2)
+ * throws the StoreError that names its version.
  */
 std::shared_ptr<const DatabaseCatalog>
 openCatalog(const std::string &path,
             LoadMode mode = LoadMode::Mmap,
             RecoveryReport *report = nullptr);
 
-/**
- * Lossless v2 -> v3 migration: load the monolith at @p snapshot_path,
- * shard it per uarch, and write a generation-1 catalog under
- * @p dir. v1 snapshots are still refused (their doubles cannot be
- * reproduced bit-exactly).
- */
-void migrateSnapshot(const std::string &snapshot_path,
-                     const std::string &dir);
-
 // ---- sweep integration -----------------------------------------------
 
 /**
- * Streaming sweep -> sharded catalog sink: like SweepIngestor, but
- * every uarch accumulates into its own shard database, so the result
- * is per-uarch shards ready to splice. Delivery order (uarch-major,
+ * Streaming sweep -> sharded catalog sink (core::SweepSink): attach
+ * to BatchOptions::sink and every successful characterization is
+ * appended to its uarch's shard database the moment the engine's
+ * reorder buffer releases it — no XML tree, no retained report (pair
+ * with keep_results = false). Delivery order (uarch-major,
  * variant-id) makes each shard bit-identical to a single-uarch sweep
  * of the same variants — the property that lets an incremental
  * re-sweep reproduce a full sweep's bytes.
+ *
+ * finish() (invoked by runBatchSweep, also on its exception path)
+ * rebuilds the query indexes. One ingestor serves one sweep.
  */
 class CatalogSweepIngestor final : public core::SweepSink
 {
@@ -366,6 +346,20 @@ class CatalogSweepIngestor final : public core::SweepSink
     size_t ingested_ = 0;
     bool finished_ = false;
 };
+
+/**
+ * The XML ingest path: one shard per uarch of a parsed results-XML
+ * document (Section 6.4), bit-identical to the shards a sweep of the
+ * same results streams through CatalogSweepIngestor.
+ *
+ * @param resolve Instruction database used to recover the ISA
+ *        extension of each variant (the results XML does not carry
+ *        it). Pass the same database the results were produced from
+ *        to obtain bit-identical shards; nullptr records the
+ *        extension as "?".
+ */
+std::vector<ShardEntry> ingestResults(const isa::ResultsDoc &doc,
+                                      const isa::InstrDb *resolve);
 
 /**
  * Incremental sweep: characterize @p arches (with @p options) and

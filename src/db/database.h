@@ -1,47 +1,48 @@
 /**
  * @file
- * The queryable instruction-performance database.
+ * The queryable instruction-performance database of one
+ * microarchitecture.
  *
  * The paper's public artifact is not the characterization algorithms —
  * it is uops.info, a continuously queried database of per-instruction
- * latency / throughput / port-usage results. This module is the
- * consumer-side counterpart of the batch engine (core/batch.h): it
- * ingests characterization results and answers the read-heavy queries
+ * latency / throughput / port-usage results, one table per
+ * microarchitecture. This module is the consumer-side counterpart of
+ * the batch engine (core/batch.h): an InstructionDatabase holds one
+ * uarch's characterization results and answers the read-heavy queries
  * downstream tools (uiCA-style simulators, throughput predictors)
- * issue against uops.info.
+ * issue against uops.info. It is exactly the content of one catalog
+ * shard (catalog.h); the catalog routes multi-uarch queries by shard.
  *
  * Storage is columnar: one flat array per field, with all strings
  * interned in a shared pool and all variable-length payloads (port
  * usage entries, latency pairs) packed into flat side arrays
  * referenced by (offset, count). This keeps point lookups and column
- * scans cache-friendly and makes the snapshot format (snapshot.h) a
- * direct dump of the arrays. Columns are owned-or-borrowed
+ * scans cache-friendly and makes the shard format (snapshot.h) a
+ * direct dump of the arrays. Columns are owned-or-bound
  * (support/column.h): ingest grows owned vectors, while the zero-copy
  * shard loader binds every column straight into a memory-mapped
- * buffer that the database keeps alive via a shared backing handle;
- * the first mutation of a borrowed column transparently copies it
- * out, so a mapped database is never written through.
+ * buffer that the database keeps alive via a shared backing handle
+ * and hands out as const.
  *
- * Three ingest paths produce *bit-identical* databases for the same
- * results: the in-memory path (a CharacterizationSet / batch report),
- * the streaming path (SweepIngestor attached to a running
- * runBatchSweep), and the XML path (a re-parsed Section 6.4 export).
- * The guarantee is by representation, not by canonicalization: every
- * cycle value in the pipeline is a fixed-point Cycles (hundredths of
- * a core cycle, the paper's reporting granularity), stored here as a
- * raw integer column, so equality is integer equality and no text
- * round trip is involved anywhere. The golden round-trip tests in
- * tests/db_test.cpp pin the property.
+ * Two ingest paths produce *bit-identical* shards for the same
+ * results: the streaming path (CatalogSweepIngestor attached to a
+ * running runBatchSweep) and the XML path (ingestResults over a
+ * re-parsed Section 6.4 export). The guarantee is by representation,
+ * not by canonicalization: every cycle value in the pipeline is a
+ * fixed-point Cycles (hundredths of a core cycle, the paper's
+ * reporting granularity), stored here as a raw integer column, so
+ * equality is integer equality and no text round trip is involved
+ * anywhere. The golden round-trip tests in tests/db_test.cpp pin the
+ * property.
  *
  * All query methods are const and safe to call concurrently from any
- * number of threads once ingestion is finished; ingest/load must not
- * race with readers.
+ * number of threads once ingestion is finished; ingest must not race
+ * with readers.
  */
 
 #ifndef UOPS_DB_DATABASE_H
 #define UOPS_DB_DATABASE_H
 
-#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -50,7 +51,7 @@
 #include <string_view>
 #include <vector>
 
-#include "core/batch.h"
+#include "core/characterize.h"
 #include "isa/results_xml.h"
 #include "support/column.h"
 #include "support/cycles.h"
@@ -61,6 +62,8 @@ namespace uops::db {
 /** Search predicate; unset fields do not constrain. */
 struct Query
 {
+    /** A database answers a query for another uarch with no rows
+     *  after one compare; the catalog routes by it. */
     std::optional<uarch::UArch> arch;
     std::optional<std::string> name;       ///< Exact variant name.
     std::optional<std::string> mnemonic;   ///< Exact mnemonic.
@@ -112,6 +115,7 @@ Cycles tpBoundMin(double v);
 Cycles tpBoundMax(double v);
 
 class InstructionDatabase;
+struct ShardEntry;
 
 /** Read-only view of one record (row) of the database. */
 class RecordView
@@ -151,126 +155,52 @@ class RecordView
     uint32_t row_;
 };
 
-/** One cross-uarch difference for a variant present on both sides. */
-struct DiffEntry
-{
-    uint32_t row_a = 0;
-    uint32_t row_b = 0;
-    bool tp_differs = false;
-    bool ports_differ = false;
-    bool latency_differs = false;
-};
-
-/** Field-by-field record comparison shared by the monolith diff and
- *  the catalog diff — one definition of "changed". Fills the three
- *  *_differs flags of @p entry (a DiffEntry or CatalogDiffEntry). */
-template <typename Entry>
-void
-compareRecords(const RecordView &a, const RecordView &b, Entry &entry)
-{
-    entry.tp_differs = a.tpMeasured() != b.tpMeasured();
-    entry.ports_differ = !(a.portUsage() == b.portUsage());
-    auto lats_a = a.latencies();
-    auto lats_b = b.latencies();
-    entry.latency_differs = lats_a.size() != lats_b.size();
-    for (size_t i = 0; !entry.latency_differs && i < lats_a.size();
-         ++i) {
-        const auto &la = lats_a[i];
-        const auto &lb = lats_b[i];
-        entry.latency_differs =
-            la.src_op != lb.src_op || la.dst_op != lb.dst_op ||
-            la.cycles != lb.cycles ||
-            la.upper_bound != lb.upper_bound ||
-            la.slow_cycles != lb.slow_cycles;
-    }
-}
-
-/** Result of diff(): what changed between two microarchitectures. */
-struct DiffResult
-{
-    size_t common = 0;                 ///< variants present on both
-    std::vector<DiffEntry> changed;    ///< differing variants only
-    std::vector<std::string> only_a;   ///< variant names unique to a
-    std::vector<std::string> only_b;   ///< variant names unique to b
-};
-
 class InstructionDatabase
 {
   public:
-    InstructionDatabase() = default;
+    /** An empty database for @p arch (ingest fills it). */
+    explicit InstructionDatabase(uarch::UArch arch) : arch_(arch) {}
 
     /** Not copyable or movable: the in-memory indexes hold views into
-     *  the string pool (snapshot load hands out unique_ptr instead). */
+     *  the string pool (loaders hand out unique_ptr instead). */
     InstructionDatabase(const InstructionDatabase &) = delete;
     InstructionDatabase &operator=(const InstructionDatabase &) = delete;
 
-    // ---- ingestion ---------------------------------------------------
+    /** The one microarchitecture every record belongs to. */
+    uarch::UArch arch() const { return arch_; }
 
-    /** Ingest one uarch's results from the in-memory pipeline. */
-    void ingest(const core::CharacterizationSet &set);
+    size_t numRecords() const { return name_.size(); }
 
-    /** Ingest every uarch of a batch-sweep report (ok outcomes). */
-    void ingest(const core::CharacterizationReport &report);
+    /** Point lookup by variant name. */
+    std::optional<uint32_t> find(std::string_view name) const;
 
-    /**
-     * Ingest a parsed results-XML document (Section 6.4).
-     *
-     * @param resolve Instruction database used to recover the ISA
-     *        extension of each variant (the results XML does not carry
-     *        it). Pass the same database the results were produced
-     *        from to obtain a bit-identical ingest; nullptr records
-     *        the extension as "?".
-     */
-    void ingestResults(const isa::ResultsDoc &doc,
-                       const isa::InstrDb *resolve);
-
-    // ---- queries -----------------------------------------------------
-
-    size_t numRecords() const { return arch_.size(); }
-
-    /** Microarchitectures present, in chronological (enum) order. */
-    std::vector<uarch::UArch> uarches() const;
-
-    /** Number of records stored for one uarch. */
-    size_t numRecords(uarch::UArch arch) const;
-
-    /** Point lookup by (uarch, variant name). */
-    std::optional<uint32_t> find(uarch::UArch arch,
-                                 std::string_view name) const;
-
-    /** All rows (any uarch) with this variant name. */
-    std::vector<uint32_t> findByName(std::string_view name) const;
-
-    /** Indexed + columnar-scan search. */
+    /** Indexed + columnar-scan search. A query for another uarch
+     *  matches nothing. */
     std::vector<uint32_t> search(const Query &query) const;
-
-    /** What changed for variants present on both uarches. */
-    DiffResult diff(uarch::UArch a, uarch::UArch b) const;
 
     RecordView record(uint32_t row) const { return {*this, row}; }
 
     /**
-     * Rebuild a CharacterizationSet for one uarch from the stored
-     * records, resolving variant pointers against @p instr_db; rows
-     * whose variant name is unknown there are skipped. Powers the
-     * /predict endpoint (core::PerformancePredictor input).
+     * Rebuild the CharacterizationSet of the stored records,
+     * resolving variant pointers against @p instr_db; rows whose
+     * variant name is unknown there are skipped. Powers the /predict
+     * endpoint (core::PerformancePredictor input).
      */
     core::CharacterizationSet
-    toCharacterizationSet(uarch::UArch arch,
-                          const isa::InstrDb &instr_db) const;
+    toCharacterizationSet(const isa::InstrDb &instr_db) const;
 
   private:
     friend class RecordView;
     friend class ScanExecutor;
-    friend class SweepIngestor;
     friend class CatalogSweepIngestor;
-    friend class DatabaseCatalog;
     friend struct SnapshotCodec;
+    friend std::vector<ShardEntry>
+    ingestResults(const isa::ResultsDoc &doc,
+                  const isa::InstrDb *resolve);
 
     /** Canonical record, shared by every ingest path. */
     struct Canonical
     {
-        uint8_t arch = 0;
         std::string name, mnemonic, extension;
         uarch::PortUsage usage;
         Cycles tp_measured;
@@ -280,12 +210,12 @@ class InstructionDatabase
     };
 
     void append(const Canonical &rec);
-    void appendCharacterization(uint8_t arch,
-                                const core::InstrCharacterization &c);
-    void appendSet(const core::CharacterizationSet &set);
+    void appendCharacterization(const core::InstrCharacterization &c);
     uint32_t intern(std::string_view s);
     std::string_view str(uint32_t id) const;
     void rebuildIndexes();
+
+    uarch::UArch arch_;
 
     // ---- columnar storage (everything below is serialized) ----------
 
@@ -293,15 +223,17 @@ class InstructionDatabase
     BytePool pool_;
     Column<uint32_t> str_off_, str_len_;
 
-    /** Per-record columns (parallel, row-indexed). */
-    Column<uint8_t> arch_;
+    /** Per-record columns (parallel, row-indexed). The uarch column
+     *  repeats arch_ in every row: it is part of the shard layout and
+     *  checked against the header on load. */
+    Column<uint8_t> row_arch_;
     Column<uint32_t> name_, mnemonic_, ext_;        ///< string ids
     Column<uint16_t> port_union_;
     Column<uint16_t> uop_count_;
     Column<uint16_t> max_latency_;
     Column<uint8_t> flags_;                         ///< presence bits
     /** Cycle columns hold raw fixed-point integers (Cycles is a
-     *  single int64, trivially copyable), dumped as-is by snapshots. */
+     *  single int64, trivially copyable), dumped as-is by shards. */
     Column<Cycles> tp_measured_, tp_breakers_, tp_slow_, tp_ports_;
     Column<Cycles> same_reg_, store_rt_;
     Column<uint32_t> ports_off_, lat_off_;
@@ -313,34 +245,20 @@ class InstructionDatabase
     Column<uint8_t> lat_flags_;
     Column<Cycles> lat_cycles_, lat_slow_;
 
-    /** Keep-alive for the mapped buffer borrowed columns point into
-     *  (null for owned databases). */
+    /** Keep-alive for the mapped buffer bound columns point into
+     *  (null for ingested databases). */
     std::shared_ptr<const void> backing_;
 
     // ---- in-memory indexes (rebuilt, never serialized) ---------------
 
+    /** Ingest-time string dedup; empty on loaded databases. */
     std::map<std::string, uint32_t, std::less<>> intern_map_;
 
-    /** Keyed name-first so findByName is one equal-range walk and
-     *  find(arch, name) stays a point lookup. */
-    std::map<std::pair<std::string_view, uint8_t>, uint32_t>
-        by_name_arch_;
+    std::map<std::string_view, uint32_t> by_name_;
     std::map<std::string_view, std::vector<uint32_t>> by_mnemonic_;
     std::map<std::string_view, std::vector<uint32_t>> by_extension_;
     std::vector<uint32_t> tp_order_;   ///< rows by tp_measured
     std::vector<uint32_t> lat_order_;  ///< rows by max_latency
-
-    /** Row run of one uarch. Ingest appends per-uarch blocks, so a
-     *  uarch's rows are normally one contiguous [begin, end) and a
-     *  uarch-filtered scan becomes a range restriction (scan.cpp);
-     *  contiguous=false (interleaved rows) falls back to a per-row
-     *  arch compare. begin == end: uarch absent. */
-    struct ArchRun
-    {
-        uint32_t begin = 0, end = 0;
-        bool contiguous = false;
-    };
-    std::array<ArchRun, 256> arch_runs_{};
 };
 
 /** Presence bits in the per-record flags_ column. */
@@ -356,40 +274,6 @@ enum RecordFlag : uint8_t {
 enum LatencyFlag : uint8_t {
     kLatUpperBound = 1u << 0,
     kLatHasSlow = 1u << 1,
-};
-
-/**
- * Streaming sweep -> database sink (core::SweepSink): attach to
- * BatchOptions::sink and every successful characterization is
- * appended the moment the engine's reorder buffer releases it — no
- * XML tree, no retained report (pair with keep_results = false).
- * Because delivery order equals report iteration order, the result
- * is bit-identical to ingest(report) on the same sweep.
- *
- * finish() (invoked by runBatchSweep, also on its exception path)
- * rebuilds the query indexes; the destructor is a safety net for
- * sweeps that aborted before any delivery. One ingestor serves one
- * sweep; the database must not be read until the sweep returned.
- */
-class SweepIngestor final : public core::SweepSink
-{
-  public:
-    explicit SweepIngestor(InstructionDatabase &db) : db_(db) {}
-    ~SweepIngestor() override { finishOnce(); }
-
-    void onVariant(uarch::UArch arch,
-                   const core::VariantOutcome &outcome) override;
-    void finish() override { finishOnce(); }
-
-    /** Successful records appended so far. */
-    size_t numIngested() const { return ingested_; }
-
-  private:
-    void finishOnce();
-
-    InstructionDatabase &db_;
-    size_t ingested_ = 0;
-    bool finished_ = false;
 };
 
 } // namespace uops::db

@@ -23,15 +23,6 @@ namespace uops::db {
 // Predicate construction
 // ---------------------------------------------------------------------
 
-ScanPredicate
-archIs(uarch::UArch arch)
-{
-    ScanPredicate p;
-    p.kind = ScanPredicate::Kind::kArchEq;
-    p.a = static_cast<int64_t>(static_cast<uint8_t>(arch));
-    return p;
-}
-
 namespace {
 
 ScanPredicate
@@ -147,8 +138,6 @@ PredicateSet
 predicatesFromQuery(const Query &query)
 {
     PredicateSet out;
-    if (query.arch)
-        out.add(archIs(*query.arch));
     if (query.name)
         out.add(nameIs(*query.name));
     if (query.mnemonic)
@@ -181,8 +170,9 @@ namespace {
 using Kind = ScanPredicate::Kind;
 
 /** A predicate bound to its column pointer with operands narrowed to
- *  the column's width (string operands resolved to interned ids, u16
- *  range bounds clamped), so the inner loops touch nothing wide.
+ *  the column's width (u16 range bounds clamped), so the inner loops
+ *  touch nothing wide. String predicates are never compiled: the
+ *  index tier consumes them.
  *  Deliberately uninitialized (trivial): run() sets every field its
  *  kind's kernels read, and skipping the zero-fill of the compile
  *  array is measurable on point queries. */
@@ -191,12 +181,10 @@ struct Compiled
     Kind kind;
     const uint8_t *col8;
     const uint16_t *col16;
-    const uint32_t *col32;
     const Cycles *col_cycles;
     uint8_t val8;
     uint16_t mask16;
     uint16_t lo16, hi16;
-    uint32_t id32;
     int64_t lo64, hi64;
 };
 
@@ -206,19 +194,18 @@ int
 costRank(Kind kind)
 {
     switch (kind) {
-    case Kind::kArchEq: return 0;
-    case Kind::kFlagsAll: return 1;
-    case Kind::kPortExact: return 2;
-    case Kind::kPortSuperset: return 3;
-    case Kind::kPortSubset: return 4;
-    case Kind::kUopRange: return 5;
-    case Kind::kLatRange: return 6;
+    case Kind::kFlagsAll: return 0;
+    case Kind::kPortExact: return 1;
+    case Kind::kPortSuperset: return 2;
+    case Kind::kPortSubset: return 3;
+    case Kind::kUopRange: return 4;
+    case Kind::kLatRange: return 5;
+    case Kind::kTpRange: return 6;
     case Kind::kNameEq:
     case Kind::kMnemonicEq:
-    case Kind::kExtensionEq: return 7;
-    case Kind::kTpRange: return 8;
+    case Kind::kExtensionEq: break;   // never compiled
     }
-    return 9;
+    return 7;
 }
 
 /** Clamp an int64 inclusive range onto a u16 column's domain; an
@@ -239,8 +226,6 @@ bool
 evalScalar(const Compiled &p, uint32_t row)
 {
     switch (p.kind) {
-    case Kind::kArchEq:
-        return p.col8[row] == p.val8;
     case Kind::kFlagsAll:
         return (p.col8[row] & p.val8) == p.val8;
     case Kind::kPortSuperset:
@@ -252,14 +237,13 @@ evalScalar(const Compiled &p, uint32_t row)
     case Kind::kUopRange:
     case Kind::kLatRange:
         return p.col16[row] >= p.lo16 && p.col16[row] <= p.hi16;
-    case Kind::kNameEq:
-    case Kind::kMnemonicEq:
-    case Kind::kExtensionEq:
-        return p.col32[row] == p.id32;
     case Kind::kTpRange: {
         int64_t v = p.col_cycles[row].hundredths();
         return v >= p.lo64 && v <= p.hi64;
     }
+    case Kind::kNameEq:
+    case Kind::kMnemonicEq:
+    case Kind::kExtensionEq: break;   // never compiled
     }
     return false;
 }
@@ -342,31 +326,24 @@ mask16U16(const Compiled &p, uint32_t base)
 #endif
 }
 
-/** 16 selection bits for rows [base, base+16) of a u8 column. */
-template <Kind K>
+/** 16 flags-predicate selection bits for rows [base, base+16) of a
+ *  u8 column. */
 inline uint32_t
-mask16U8(const Compiled &p, uint32_t base)
+mask16Flags(const Compiled &p, uint32_t base)
 {
     const uint8_t *src = p.col8 + base;
 #if defined(__SSE2__)
     __m128i x =
         _mm_loadu_si128(reinterpret_cast<const __m128i *>(src));
     const __m128i m = _mm_set1_epi8(static_cast<char>(p.val8));
-    if constexpr (K == Kind::kFlagsAll)
-        x = _mm_and_si128(x, m);
+    x = _mm_and_si128(x, m);
     return static_cast<uint32_t>(
                _mm_movemask_epi8(_mm_cmpeq_epi8(x, m))) &
            0xFFFFu;
 #else
     uint32_t w = 0;
-    for (uint32_t i = 0; i < 16; ++i) {
-        bool hit;
-        if constexpr (K == Kind::kFlagsAll)
-            hit = (src[i] & p.val8) == p.val8;
-        else
-            hit = src[i] == p.val8;
-        w |= static_cast<uint32_t>(hit) << i;
-    }
+    for (uint32_t i = 0; i < 16; ++i)
+        w |= static_cast<uint32_t>((src[i] & p.val8) == p.val8) << i;
     return w;
 #endif
 }
@@ -396,20 +373,9 @@ evalWord(const Compiled &p, uint32_t base, uint32_t n)
     uint64_t w = 0;
     uint32_t k = 0;
     switch (p.kind) {
-    case Kind::kArchEq:
-        for (; k + 16 <= n; k += 16)
-            w |= static_cast<uint64_t>(
-                     mask16U8<Kind::kArchEq>(p, base + k))
-                 << k;
-        for (; k < n; ++k)
-            w |= static_cast<uint64_t>(p.col8[base + k] == p.val8)
-                 << k;
-        return w;
     case Kind::kFlagsAll:
         for (; k + 16 <= n; k += 16)
-            w |= static_cast<uint64_t>(
-                     mask16U8<Kind::kFlagsAll>(p, base + k))
-                 << k;
+            w |= static_cast<uint64_t>(mask16Flags(p, base + k)) << k;
         for (; k < n; ++k)
             w |= static_cast<uint64_t>(
                      (p.col8[base + k] & p.val8) == p.val8)
@@ -456,13 +422,6 @@ evalWord(const Compiled &p, uint32_t base, uint32_t n)
                                        p.col16[base + k] <= p.hi16)
                  << k;
         return w;
-    case Kind::kNameEq:
-    case Kind::kMnemonicEq:
-    case Kind::kExtensionEq:
-        for (; k < n; ++k)
-            w |= static_cast<uint64_t>(p.col32[base + k] == p.id32)
-                 << k;
-        return w;
     case Kind::kTpRange:
         for (; k < n; ++k) {
             int64_t v = p.col_cycles[base + k].hundredths();
@@ -470,6 +429,9 @@ evalWord(const Compiled &p, uint32_t base, uint32_t n)
                  << k;
         }
         return w;
+    case Kind::kNameEq:
+    case Kind::kMnemonicEq:
+    case Kind::kExtensionEq: break;   // never compiled
     }
     return w;
 }
@@ -539,14 +501,12 @@ evalWordAvx512(const Compiled &p, uint32_t base, uint32_t n)
     const uint64_t live64 =
         n == 64 ? ~uint64_t{0} : ((uint64_t{1} << n) - 1);
     switch (p.kind) {
-    case Kind::kArchEq:
     case Kind::kFlagsAll: {
         const __mmask64 live = static_cast<__mmask64>(live64);
         __m512i v = _mm512_maskz_loadu_epi8(live, p.col8 + base);
         const __m512i mask = _mm512_set1_epi8(
             static_cast<char>(p.val8));
-        if (p.kind == Kind::kFlagsAll)
-            v = _mm512_and_si512(v, mask);
+        v = _mm512_and_si512(v, mask);
         return _mm512_cmpeq_epi8_mask(v, mask) & live64;
     }
     case Kind::kPortSuperset:
@@ -558,28 +518,11 @@ evalWordAvx512(const Compiled &p, uint32_t base, uint32_t n)
     case Kind::kUopRange:
     case Kind::kLatRange:
         return evalU16Avx512<Kind::kUopRange>(p, base, n);
-    case Kind::kNameEq:
-    case Kind::kMnemonicEq:
-    case Kind::kExtensionEq: {
-        uint64_t w = 0;
-        const __m512i id = _mm512_set1_epi32(
-            static_cast<int>(p.id32));
-        for (uint32_t k = 0; k < n; k += 16) {
-            const uint32_t m = std::min<uint32_t>(16, n - k);
-            const __mmask16 live =
-                m == 16
-                    ? ~__mmask16{0}
-                    : static_cast<__mmask16>((uint32_t{1} << m) - 1);
-            const __m512i v =
-                _mm512_maskz_loadu_epi32(live, p.col32 + base + k);
-            w |= static_cast<uint64_t>(
-                     _mm512_mask_cmpeq_epi32_mask(live, v, id))
-                 << k;
-        }
-        return w;
-    }
     case Kind::kTpRange:
         return evalWord(p, base, n);
+    case Kind::kNameEq:
+    case Kind::kMnemonicEq:
+    case Kind::kExtensionEq: break;   // never compiled
     }
     return 0;
 }
@@ -646,17 +589,16 @@ ScanExecutor::run(const PredicateSet &preds, size_t limit,
                   ScanStats *stats) const
 {
     const InstructionDatabase &db = db_;
-    const uint32_t n = static_cast<uint32_t>(db.arch_.size());
+    const uint32_t n = static_cast<uint32_t>(db.numRecords());
     std::vector<uint32_t> out;
     if (n == 0 || limit == 0)
         return out;
 
     // One classification pass: which tiers can fire at all. Point
-    // queries (arch + a value predicate) skip the index tiers on a
+    // queries (a single value predicate) skip the index tiers on a
     // single branch each instead of re-walking the conjunction.
     bool has_string = false;
     bool has_order_range = false;
-    const ScanPredicate *arch_pred = nullptr;
     for (const ScanPredicate &p : preds) {
         switch (p.kind) {
         case Kind::kNameEq:
@@ -667,9 +609,6 @@ ScanExecutor::run(const PredicateSet &preds, size_t limit,
         case Kind::kTpRange:
         case Kind::kLatRange:
             has_order_range = true;
-            break;
-        case Kind::kArchEq:
-            arch_pred = &p;
             break;
         default:
             break;
@@ -698,9 +637,12 @@ ScanExecutor::run(const PredicateSet &preds, size_t limit,
     if (has_string) {
         for (const ScanPredicate &p : preds) {
             switch (p.kind) {
-            case Kind::kNameEq:
-                narrow(db.findByName(p.text));
+            case Kind::kNameEq: {
+                auto row = db.find(p.text);
+                narrow(row ? std::vector<uint32_t>{*row}
+                           : std::vector<uint32_t>{});
                 break;
+            }
             case Kind::kMnemonicEq: {
                 auto it = db.by_mnemonic_.find(p.text);
                 narrow(it != db.by_mnemonic_.end()
@@ -770,44 +712,14 @@ ScanExecutor::run(const PredicateSet &preds, size_t limit,
             return out;
     }
 
-    // --- Tier 2a: a uarch predicate over arch-grouped rows collapses
-    // to a contiguous row range instead of a per-row compare. Decided
-    // before compilation so the predicate is never materialized —
-    // but only on the batch path: index candidates span all arches,
-    // so there the predicate must stay.
-    uint32_t begin = 0;
-    uint32_t end = n;
-    bool arch_as_range = false;
-    if (arch_pred && !have_candidates) {
-        const auto &run =
-            db.arch_runs_[static_cast<uint8_t>(arch_pred->a)];
-        if (run.begin == run.end)
-            return out;  // uarch absent entirely
-        if (run.contiguous) {
-            begin = run.begin;
-            end = run.end;
-            arch_as_range = true;
-            if (stats)
-                stats->used_arch_range = true;
-        }
-        // interleaved rows: keep the predicate
-    }
-
-    // --- Tier 2b: compile the predicates (cheap-first), binding
-    // columns and narrowing operands. An unresolvable interned-string
-    // operand means no row can match.
+    // --- Compile the remaining predicates (cheap-first), binding
+    // columns and narrowing operands.
     std::array<Compiled, PredicateSet::kCapacity> compiled;
     size_t num_compiled = 0;
     for (const ScanPredicate &p : preds) {
         Compiled c;
         c.kind = p.kind;
         switch (p.kind) {
-        case Kind::kArchEq:
-            if (arch_as_range)
-                continue;  // consumed by the range restriction
-            c.col8 = db.arch_.data();
-            c.val8 = static_cast<uint8_t>(p.a);
-            break;
         case Kind::kFlagsAll:
             c.col8 = db.flags_.data();
             c.val8 = static_cast<uint8_t>(p.a);
@@ -828,19 +740,8 @@ ScanExecutor::run(const PredicateSet &preds, size_t limit,
             break;
         case Kind::kNameEq:
         case Kind::kMnemonicEq:
-        case Kind::kExtensionEq: {
-            if (have_candidates)
-                continue;  // already consumed by the index tier
-            auto it = db.intern_map_.find(p.text);
-            if (it == db.intern_map_.end())
-                return out;
-            c.col32 = p.kind == Kind::kNameEq ? db.name_.data()
-                      : p.kind == Kind::kMnemonicEq
-                          ? db.mnemonic_.data()
-                          : db.ext_.data();
-            c.id32 = it->second;
-            break;
-        }
+        case Kind::kExtensionEq:
+            continue;  // consumed by the index tier
         case Kind::kTpRange:
             c.col_cycles = db.tp_measured_.data();
             c.lo64 = p.a;
@@ -880,24 +781,22 @@ ScanExecutor::run(const PredicateSet &preds, size_t limit,
         return out;
     }
 
-    // --- Tier 3: batched 64-row bitmap scan. The unlimited case —
+    // --- Tier 2: batched 64-row bitmap scan. The unlimited case —
     // every query without an explicit cap — skips the per-match limit
     // check entirely.
     if (stats)
-        stats->rows_considered = end - begin;
-    const size_t range = end - begin;
+        stats->rows_considered = n;
     const bool avx = haveAvx512();
-    if (limit >= range) {
+    if (limit >= n) {
         // Unlimited (the common case): raw-pointer emission into a
         // pre-sized buffer (growth is doubled so huge tables don't
         // pay a full-range zero-fill upfront). emitWord writes at
         // most one slot per set bit, so a 64-slot headroom check per
         // block is the only bound needed.
-        out.resize(std::min<size_t>(range + 8, size_t{65536}));
+        out.resize(std::min<size_t>(size_t{n} + 8, size_t{65536}));
         size_t count = 0;
-        for (uint32_t base = begin; base < end; base += 64) {
-            const uint32_t block =
-                std::min<uint32_t>(64, end - base);
+        for (uint32_t base = 0; base < n; base += 64) {
+            const uint32_t block = std::min<uint32_t>(64, n - base);
             uint64_t word = block == 64 ? ~uint64_t{0}
                                         : ((uint64_t{1} << block) - 1);
             for (size_t i = 0; word && i < num_compiled; ++i)
@@ -918,10 +817,9 @@ ScanExecutor::run(const PredicateSet &preds, size_t limit,
             stats->rows_matched = count;
         return out;
     }
-    out.reserve(std::min<size_t>({limit, range, size_t{65536}}));
-    for (uint32_t base = begin; base < end; base += 64) {
-        const uint32_t block =
-            std::min<uint32_t>(64, end - base);
+    out.reserve(std::min<size_t>({limit, size_t{n}, size_t{65536}}));
+    for (uint32_t base = 0; base < n; base += 64) {
+        const uint32_t block = std::min<uint32_t>(64, n - base);
         uint64_t word = block == 64 ? ~uint64_t{0}
                                     : ((uint64_t{1} << block) - 1);
         for (size_t i = 0; word && i < num_compiled; ++i)

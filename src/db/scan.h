@@ -2,12 +2,12 @@
  * @file
  * Predicate-pushdown scan executor over the database's columns.
  *
- * Every query the database answers — /search filters, port-superset
- * lookups, range scans, the diff and analytics merges — is a
- * conjunction of per-column predicates applied to the columnar store.
- * Instead of one hand-written loop per query shape, a query compiles
- * into a PredicateSet and ScanExecutor::run evaluates it in three
- * tiers, cheapest first:
+ * Every query a database (one uarch's shard) answers — /search
+ * filters, port-superset lookups, range scans, the analytics merges —
+ * is a conjunction of per-column predicates applied to the columnar
+ * store. Instead of one hand-written loop per query shape, a query
+ * compiles into a PredicateSet and ScanExecutor::run evaluates it in
+ * two tiers, cheapest first:
  *
  *  1. Index short-circuits. String-equality predicates (name,
  *     mnemonic, extension) never scan: they resolve through the
@@ -15,18 +15,20 @@
  *     candidate list. A selective throughput/latency range likewise
  *     pre-filters through the sorted order indexes when the window is
  *     small relative to the table.
- *  2. Arch-run restriction. Rows are ingested grouped by
- *     microarchitecture, so a uarch predicate usually collapses to a
- *     contiguous [begin, end) row range instead of a filter.
- *  3. Batched column scans. Whatever predicates remain run over the
- *     surviving row range in 64-row blocks, each predicate producing
- *     a 64-bit selection mask that is ANDed into the block's bitmap
- *     (with early-out once the bitmap is empty). The fixed-width
- *     integer columns (u8 arch/flags, u16 port masks / uop counts /
+ *  2. Batched column scans. Whatever predicates remain run over the
+ *     table in 64-row blocks, each predicate producing a 64-bit
+ *     selection mask that is ANDed into the block's bitmap (with
+ *     early-out once the bitmap is empty). The fixed-width integer
+ *     columns (u8 flags, u16 port masks / uop counts /
  *     latencies) use SSE2 compare+movemask kernels — 16 rows per
  *     instruction — with scalar fallbacks that the compiler can
  *     auto-vectorize; matching row ids are extracted from the bitmap
  *     with countr_zero, so the emission loop costs only the matches.
+ *
+ * The uarch is not a predicate: a database holds one, so
+ * InstructionDatabase::search answers a Query for another uarch with
+ * no rows before the executor runs, and predicatesFromQuery ignores
+ * Query::arch.
  *
  * Predicates are cheap POD values; a PredicateSet is a fixed-capacity
  * conjunction (no allocation). Text operands are views into
@@ -57,7 +59,6 @@ namespace uops::db {
 struct ScanPredicate
 {
     enum class Kind : uint8_t {
-        kArchEq,        ///< arch column == a
         kNameEq,        ///< interned name == text
         kMnemonicEq,    ///< interned mnemonic == text
         kExtensionEq,   ///< interned extension == text
@@ -70,7 +71,7 @@ struct ScanPredicate
         kFlagsAll,      ///< (flags & a) == a
     };
 
-    Kind kind = Kind::kArchEq;
+    Kind kind = Kind::kNameEq;
     int64_t a = 0;  ///< value / mask / inclusive lower bound
     int64_t b = 0;  ///< inclusive upper bound (range kinds only)
 
@@ -79,7 +80,6 @@ struct ScanPredicate
     std::string_view text{};
 };
 
-ScanPredicate archIs(uarch::UArch arch);
 ScanPredicate nameIs(std::string_view name);
 ScanPredicate mnemonicIs(std::string_view mnemonic);
 ScanPredicate extensionIs(std::string_view extension);
@@ -116,8 +116,9 @@ class PredicateSet
     size_t size_ = 0;
 };
 
-/** Compile a Query's set fields into the equivalent conjunction.
- *  Views into the query's strings: @p query must outlive run(). */
+/** Compile a Query's set column fields (all but arch and limit) into
+ *  the equivalent conjunction. Views into the query's strings:
+ *  @p query must outlive run(). */
 PredicateSet predicatesFromQuery(const Query &query);
 
 /** What a run actually did — asserted by tests, exposed for tuning. */
@@ -127,7 +128,6 @@ struct ScanStats
     size_t rows_matched = 0;     ///< rows emitted (<= limit)
     bool used_string_index = false;  ///< equal-range pre-filter hit
     bool used_order_index = false;   ///< tp/lat order-index pre-filter
-    bool used_arch_range = false;    ///< contiguous arch-run restriction
 };
 
 /**

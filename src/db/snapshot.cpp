@@ -1,9 +1,6 @@
 #include "snapshot.h"
 
-#include <algorithm>
 #include <cstring>
-#include <fstream>
-#include <optional>
 #include <sstream>
 
 #include "support/status.h"
@@ -88,94 +85,6 @@ class Writer
     }
 
     std::ostream &os_;
-};
-
-class Reader
-{
-  public:
-    explicit Reader(std::istream &is) : is_(is)
-    {
-        // Bound declared array sizes by the actual stream length so a
-        // corrupt length prefix is a FatalError, not a giant resize()
-        // (bad_alloc / OOM) before the truncation check can fire.
-        auto pos = is.tellg();
-        if (pos != std::streampos(-1)) {
-            is.seekg(0, std::ios::end);
-            auto end = is.tellg();
-            is.seekg(pos);
-            if (end != std::streampos(-1))
-                bytes_left_ = static_cast<uint64_t>(end - pos);
-        }
-    }
-
-    void
-    raw(void *data, size_t bytes)
-    {
-        is_.read(static_cast<char *>(data),
-                 static_cast<std::streamsize>(bytes));
-        storeCheck(static_cast<size_t>(is_.gcount()) != bytes,
-                "db snapshot: truncated file");
-        if (bytes_left_)
-            *bytes_left_ -= std::min<uint64_t>(*bytes_left_, bytes);
-    }
-
-    template <typename T>
-    T
-    scalar()
-    {
-        T value;
-        raw(&value, sizeof value);
-        return value;
-    }
-
-    template <typename T>
-    void
-    array(Column<T> &xs)
-    {
-        uint64_t n = scalar<uint64_t>();
-        checkSize(n, sizeof(T));
-        T *buffer = xs.resizeForRead(static_cast<size_t>(n));
-        size_t bytes = xs.size() * sizeof(T);
-        if (bytes)
-            raw(buffer, bytes);
-        skip(bytes);
-    }
-
-    void
-    array(BytePool &s)
-    {
-        uint64_t n = scalar<uint64_t>();
-        checkSize(n, 1);
-        char *buffer = s.resizeForRead(static_cast<size_t>(n));
-        if (s.size())
-            raw(buffer, s.size());
-        skip(s.size());
-    }
-
-  private:
-    void
-    checkSize(uint64_t n, size_t elem_bytes)
-    {
-        storeCheck(n > (1ull << 32),
-                "db snapshot: implausible array size ", n);
-        storeCheck(bytes_left_ && n * elem_bytes > *bytes_left_,
-                "db snapshot: array size ", n,
-                " exceeds remaining file bytes");
-    }
-
-    void
-    skip(size_t bytes)
-    {
-        char sink[8];
-        size_t pad = paddingFor(bytes);
-        if (pad)
-            raw(sink, pad);
-    }
-
-    std::istream &is_;
-
-    /** Remaining stream bytes; absent for non-seekable streams. */
-    std::optional<uint64_t> bytes_left_;
 };
 
 /**
@@ -268,7 +177,7 @@ struct SnapshotCodec
         ar.array(db.pool_);
         ar.array(db.str_off_);
         ar.array(db.str_len_);
-        ar.array(db.arch_);
+        ar.array(db.row_arch_);
         ar.array(db.name_);
         ar.array(db.mnemonic_);
         ar.array(db.ext_);
@@ -298,7 +207,7 @@ struct SnapshotCodec
     static void
     validate(const InstructionDatabase &db, uint64_t expected_records)
     {
-        const size_t n = db.arch_.size();
+        const size_t n = db.row_arch_.size();
         storeCheck(n != expected_records,
                 "db snapshot: record count mismatch");
         storeCheck(db.name_.size() != n || db.mnemonic_.size() != n ||
@@ -351,193 +260,99 @@ struct SnapshotCodec
         }
     }
 
-    /** A shard must be single-uarch; the header says which. */
-    static void
-    validateShardArch(const InstructionDatabase &db, uint8_t arch)
+    static std::unique_ptr<const InstructionDatabase>
+    load(std::shared_ptr<const MappedFile> mapping, uarch::UArch arch,
+         uint64_t records, MappedReader &reader)
     {
-        for (uint8_t a : db.arch_)
-            storeCheck(a != arch, "db shard: record uarch ",
-                    static_cast<int>(a),
+        auto db = std::make_unique<InstructionDatabase>(arch);
+        columns(reader, *db);
+        validate(*db, records);
+        // A shard is single-uarch: every row repeats the header's.
+        for (uint8_t a : db->row_arch_)
+            storeCheck(a != static_cast<uint8_t>(arch),
+                    "db shard: record uarch ", static_cast<int>(a),
                     " disagrees with shard header uarch ",
                     static_cast<int>(arch));
-    }
-
-    static void
-    rebuild(InstructionDatabase &db)
-    {
-        // Re-intern so later ingests dedup against loaded strings.
-        db.intern_map_.clear();
-        for (uint32_t id = 0;
-             id < static_cast<uint32_t>(db.str_off_.size()); ++id)
-            db.intern_map_.emplace(std::string(db.str(id)), id);
-        db.rebuildIndexes();
-    }
-
-    static void
-    setBacking(InstructionDatabase &db,
-               std::shared_ptr<const void> backing)
-    {
-        db.backing_ = std::move(backing);
+        db->rebuildIndexes();
+        db->backing_ = std::move(mapping);
+        return db;
     }
 };
 
 namespace {
 
-/** Shared head parsing for both container kinds. Returns the format
- *  version and fills @p records / @p shard_arch (v3 only). */
-template <typename Archive>
-uint32_t
-readHeader(Archive &ar, uint64_t &records,
-           std::optional<uint8_t> &shard_arch)
+/** The version gate shared by the loader and refuseRetiredContainer. */
+void
+checkVersion(uint32_t version, const std::string &source)
 {
-    char magic[8];
-    ar.raw(magic, sizeof magic);
-    storeCheck(std::memcmp(magic, kMagic, sizeof magic) != 0,
-            "db snapshot: bad magic");
-    uint32_t version = ar.template scalar<uint32_t>();
-    storeCheck(version == 1,
-            "db snapshot: version 1 (floating-point cycle columns) is "
-            "no longer supported; re-run characterize or re-ingest the "
-            "results XML to produce a current snapshot");
-    storeCheck(version != kSnapshotVersion && version != kShardVersion,
-            "db snapshot: unsupported version ", version);
-    uint32_t endian = ar.template scalar<uint32_t>();
-    storeCheck(endian != kEndianTag, "db snapshot: foreign byte order");
-    records = ar.template scalar<uint64_t>();
-    if (version == kShardVersion) {
-        uint64_t arch = ar.template scalar<uint64_t>();
-        storeCheck(arch > 0xff, "db shard: implausible uarch id ", arch);
-        shard_arch = static_cast<uint8_t>(arch);
-    }
-    return version;
-}
-
-template <typename Archive>
-std::unique_ptr<InstructionDatabase>
-loadContainer(Archive &ar, std::optional<uarch::UArch> expected)
-{
-    uint64_t records = 0;
-    std::optional<uint8_t> shard_arch;
-    uint32_t version = readHeader(ar, records, shard_arch);
-    if (expected) {
-        storeCheck(version != kShardVersion,
-                "db shard: expected a version-", kShardVersion,
-                " shard, got a version-", version, " container");
-        storeCheck(*shard_arch != static_cast<uint8_t>(*expected),
-                "db shard: header uarch ",
-                uarch::uarchShortName(
-                    static_cast<uarch::UArch>(*shard_arch)),
-                " does not match expected ",
-                uarch::uarchShortName(*expected));
-    }
-
-    auto db = std::make_unique<InstructionDatabase>();
-    SnapshotCodec::columns(ar, *db);
-    SnapshotCodec::validate(*db, records);
-    if (shard_arch)
-        SnapshotCodec::validateShardArch(*db, *shard_arch);
-    SnapshotCodec::rebuild(*db);
-    return db;
+    storeCheck(version == 1, "db snapshot: ", source,
+            ": version 1 (floating-point cycle columns) is no longer "
+            "supported; re-run characterize or re-ingest the results "
+            "XML to produce a current catalog");
+    storeCheck(version == 2, "db snapshot: ", source,
+            ": version 2 (multi-uarch monolith) is no longer "
+            "supported; re-run characterize or re-ingest the results "
+            "XML to produce a catalog directory of shards");
+    storeCheck(version != kShardVersion, "db snapshot: ", source,
+            ": unsupported version ", version);
 }
 
 } // namespace
 
 void
-saveSnapshot(const InstructionDatabase &db, std::ostream &os)
+refuseRetiredContainer(std::string_view head, const std::string &source)
 {
-    Writer writer(os);
-    writer.raw(kMagic, sizeof kMagic);
-    writer.scalar<uint32_t>(kSnapshotVersion);
-    writer.scalar<uint32_t>(kEndianTag);
-    writer.scalar<uint64_t>(db.numRecords());
-    SnapshotCodec::columns(writer, db);
-    fatalIf(!os, "db snapshot: write failed");
-}
-
-std::string
-snapshotBytes(const InstructionDatabase &db)
-{
-    std::ostringstream os(std::ios::binary);
-    saveSnapshot(db, os);
-    return os.str();
-}
-
-std::unique_ptr<InstructionDatabase>
-loadSnapshot(std::istream &is)
-{
-    Reader reader(is);
-    return loadContainer(reader, std::nullopt);
-}
-
-std::unique_ptr<InstructionDatabase>
-loadSnapshotBytes(const std::string &bytes)
-{
-    std::istringstream is(bytes, std::ios::binary);
-    return loadSnapshot(is);
+    if (head.size() < sizeof kMagic + sizeof(uint32_t) ||
+        std::memcmp(head.data(), kMagic, sizeof kMagic) != 0)
+        return;
+    uint32_t version = 0;
+    std::memcpy(&version, head.data() + sizeof kMagic, sizeof version);
+    if (version == 1 || version == 2)
+        checkVersion(version, source);
 }
 
 void
-saveSnapshotFile(const InstructionDatabase &db, const std::string &path)
+saveShard(const InstructionDatabase &db, std::ostream &os)
 {
-    std::ofstream os(path, std::ios::binary);
-    fatalIf(!os, "db snapshot: cannot open ", path, " for writing");
-    saveSnapshot(db, os);
-    os.flush();
-    fatalIf(!os, "db snapshot: write to ", path, " failed");
-}
-
-std::unique_ptr<InstructionDatabase>
-loadSnapshotFile(const std::string &path)
-{
-    std::ifstream is(path, std::ios::binary);
-    storeCheck(!is, "db snapshot: cannot open ", path);
-    return loadSnapshot(is);
-}
-
-// ---------------------------------------------------------------------
-// Per-uarch shards
-// ---------------------------------------------------------------------
-
-void
-saveShard(const InstructionDatabase &db, uarch::UArch arch,
-          std::ostream &os)
-{
-    SnapshotCodec::validateShardArch(db,
-                                     static_cast<uint8_t>(arch));
     Writer writer(os);
     writer.raw(kMagic, sizeof kMagic);
     writer.scalar<uint32_t>(kShardVersion);
     writer.scalar<uint32_t>(kEndianTag);
     writer.scalar<uint64_t>(db.numRecords());
-    writer.scalar<uint64_t>(static_cast<uint8_t>(arch));
+    writer.scalar<uint64_t>(static_cast<uint8_t>(db.arch()));
     SnapshotCodec::columns(writer, db);
     fatalIf(!os, "db shard: write failed");
 }
 
 std::string
-shardBytes(const InstructionDatabase &db, uarch::UArch arch)
+shardBytes(const InstructionDatabase &db)
 {
     std::ostringstream os(std::ios::binary);
-    saveShard(db, arch, os);
+    saveShard(db, os);
     return os.str();
 }
 
-std::unique_ptr<InstructionDatabase>
-loadShard(std::istream &is, uarch::UArch expected)
-{
-    Reader reader(is);
-    return loadContainer(reader, expected);
-}
-
-std::unique_ptr<InstructionDatabase>
+std::unique_ptr<const InstructionDatabase>
 loadShardMapped(std::shared_ptr<const MappedFile> mapping,
                 uarch::UArch expected)
 {
     fatalIf(mapping == nullptr, "db shard: null mapping");
     MappedReader reader(mapping->data(), mapping->size());
-    auto db = loadContainer(reader, expected);
-    SnapshotCodec::setBacking(*db, std::move(mapping));
-    return db;
+    char magic[8];
+    reader.raw(magic, sizeof magic);
+    storeCheck(std::memcmp(magic, kMagic, sizeof magic) != 0,
+            "db snapshot: bad magic");
+    checkVersion(reader.scalar<uint32_t>(), mapping->path());
+    storeCheck(reader.scalar<uint32_t>() != kEndianTag,
+            "db snapshot: foreign byte order");
+    const uint64_t records = reader.scalar<uint64_t>();
+    const uint64_t arch = reader.scalar<uint64_t>();
+    storeCheck(arch != static_cast<uint8_t>(expected),
+            "db shard: header uarch id ", arch,
+            " does not match expected ",
+            uarch::uarchShortName(expected));
+    return SnapshotCodec::load(std::move(mapping), expected, records,
+                               reader);
 }
 
 } // namespace uops::db

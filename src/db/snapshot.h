@@ -1,39 +1,38 @@
 /**
  * @file
- * Versioned binary container formats for the instruction database.
+ * The shard: the one binary container format of the instruction
+ * database.
  *
- * Two container kinds share one layout family (little-endian,
- * mmap-friendly, every array 8-byte aligned):
+ * A shard holds exactly one microarchitecture's InstructionDatabase —
+ * the unit of the sharded catalog store (catalog.h), which writes one
+ * shard file per uarch plus a manifest. Layout (version 3,
+ * little-endian, mmap-friendly, every array 8-byte aligned):
  *
- *   monolith (version 2)
- *     header   8-byte magic "UOPSDB\x1a\n", u32 version, u32 endian
- *              tag (0x0A0B0C0D as written by the producer — a reader
- *              on a byte-swapped host rejects the file instead of
- *              misreading it), u64 record count
- *     arrays   the columnar arrays of InstructionDatabase, in a fixed
- *              order, each as: u64 element count, raw element bytes,
- *              zero padding to the next 8-byte boundary
+ *   header   8-byte magic "UOPSDB\x1a\n", u32 version, u32 endian
+ *            tag (0x0A0B0C0D as written by the producer — a reader on
+ *            a byte-swapped host rejects the file instead of
+ *            misreading it), u64 record count, u64 microarchitecture
+ *            id
+ *   arrays   the columnar arrays of InstructionDatabase, in a fixed
+ *            order, each as: u64 element count, raw element bytes,
+ *            zero padding to the next 8-byte boundary
  *
- *   shard (version 3)
- *     identical, plus one u64 microarchitecture id after the record
- *     count. A shard holds exactly one uarch's records — the unit of
- *     the sharded catalog store (catalog.h), which writes one shard
- *     file per uarch plus a manifest.
+ * The per-row uarch column is still stored and must agree with the
+ * header on load. Older containers are refused with a StoreError that
+ * names their version: v1 (IEEE-double cycle columns) and v2 (the
+ * multi-uarch monolith, whose data a re-characterize or an XML
+ * re-ingest reproduces as shards).
  *
- * Version 2 remains fully readable (and writable, for migration
- * tests); v1 files (IEEE-double cycle columns) are refused with an
- * explicit error. Because every array is a contiguous raw dump
- * aligned to 8 bytes, the shard loader has a zero-copy path: it binds
- * the columns straight into a memory-mapped buffer
- * (loadShardMapped), the database keeping the mapping alive. The
- * stream loaders copy through iostreams instead. The in-memory query
- * indexes are *not* serialized — they are deterministically rebuilt
- * on load, so two databases with equal container bytes answer every
- * query identically, whichever loader produced them.
+ * Because every array is a contiguous raw dump aligned to 8 bytes,
+ * the one loader is zero-copy: it binds the columns straight into a
+ * memory-mapped buffer (loadShardMapped), the database keeping the
+ * mapping alive. The in-memory query indexes are *not* serialized —
+ * they are deterministically rebuilt on load, so two databases with
+ * equal shard bytes answer every query identically.
  *
- * Containers are bit-exact: save(load(save(db))) == save(db), and a
- * database ingested from XML produces the same bytes as one ingested
- * in memory from the same results (see tests/db_test.cpp).
+ * Shards are bit-exact: save(load(save(db))) == save(db), and a shard
+ * ingested from XML has the same bytes as one ingested in memory from
+ * the same results (see tests/db_test.cpp).
  */
 
 #ifndef UOPS_DB_SNAPSHOT_H
@@ -42,6 +41,7 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "db/database.h"
 #include "support/mmap_file.h"
@@ -63,66 +63,36 @@ class StoreError : public FatalError
     explicit StoreError(const std::string &msg) : FatalError(msg) {}
 };
 
-/** Monolith (single-file, multi-uarch) container version. */
-constexpr uint32_t kSnapshotVersion = 2;
-
-/** Per-uarch shard container version. */
+/** Shard container version (the only one loaded). */
 constexpr uint32_t kShardVersion = 3;
 
-/** Serialize @p db to @p os (throws FatalError on stream failure). */
-void saveSnapshot(const InstructionDatabase &db, std::ostream &os);
-
-/** Serialized monolith bytes. */
-std::string snapshotBytes(const InstructionDatabase &db);
-
-/**
- * Deserialize a monolith or shard container (throws FatalError on
- * malformed input: bad magic, unsupported version, foreign
- * endianness, truncated or inconsistent arrays, or a shard whose
- * records disagree with its header uarch).
- */
-std::unique_ptr<InstructionDatabase> loadSnapshot(std::istream &is);
-
-/** Parse a container held in memory. */
-std::unique_ptr<InstructionDatabase>
-loadSnapshotBytes(const std::string &bytes);
-
-/** Save to / load from a file path. */
-void saveSnapshotFile(const InstructionDatabase &db,
-                      const std::string &path);
-std::unique_ptr<InstructionDatabase>
-loadSnapshotFile(const std::string &path);
-
-// ---- per-uarch shards (catalog storage unit) -------------------------
-
-/**
- * Serialize @p db as a version-3 shard for @p arch. Every record must
- * belong to @p arch (throws FatalError otherwise) — a shard is
- * single-uarch by definition.
- */
-void saveShard(const InstructionDatabase &db, uarch::UArch arch,
-               std::ostream &os);
+/** Serialize @p db as a version-3 shard of its uarch. */
+void saveShard(const InstructionDatabase &db, std::ostream &os);
 
 /** Serialized shard bytes (the content that shard hashes cover). */
-std::string shardBytes(const InstructionDatabase &db,
-                       uarch::UArch arch);
+std::string shardBytes(const InstructionDatabase &db);
 
 /**
- * Load a shard through the stream path (columns copied into owned
- * storage). @p expected guards against a manifest/file mismatch.
+ * Load a shard, zero-copy: columns are bound directly into
+ * @p mapping, which the returned database keeps alive; only the
+ * rebuilt indexes allocate. @p expected guards against a
+ * manifest/file mismatch. Throws StoreError on malformed input: bad
+ * magic, any version but kShardVersion, foreign endianness, truncated
+ * or inconsistent arrays, or records that disagree with the header
+ * uarch.
  */
-std::unique_ptr<InstructionDatabase>
-loadShard(std::istream &is, uarch::UArch expected);
-
-/**
- * Zero-copy shard load: columns are bound directly into @p mapping,
- * which the returned database keeps alive; only the rebuilt indexes
- * allocate. The first mutation of the returned database (ingesting on
- * top of it) copies the touched columns out of the mapping.
- */
-std::unique_ptr<InstructionDatabase>
+std::unique_ptr<const InstructionDatabase>
 loadShardMapped(std::shared_ptr<const MappedFile> mapping,
                 uarch::UArch expected);
+
+/**
+ * Refuse a retired container by its first bytes: throws the
+ * StoreError the loader would throw when @p head starts with a
+ * version-1 or version-2 header (naming the version and @p source);
+ * returns for anything else.
+ */
+void refuseRetiredContainer(std::string_view head,
+                            const std::string &source);
 
 } // namespace uops::db
 

@@ -82,8 +82,8 @@ BlobStore::build(const db::DatabaseCatalog &catalog)
         std::make_shared<const std::string>(renderUArchsBody(catalog));
 
     // Render every record once, grouped by variant name. Shards are
-    // uarch-ascending and rows are walked in order, so each name's
-    // fragment list lands in exactly findByName's result order.
+    // uarch-ascending, so each name's fragment list lands in uarch
+    // order.
     struct Pending
     {
         uarch::UArch arch;

@@ -13,8 +13,8 @@
  * A BlobStore is built from one DatabaseCatalog and owns:
  *
  *   - the full /uarchs response body,
- *   - one full /instr/{name} body per variant name (all uarches, in
- *     uarch order — exactly what findByName would produce),
+ *   - one full /instr/{name} body per variant name (one record per
+ *     shard that has the name, in chronological uarch order),
  *   - per-(name, uarch) fragment slices *into* those bodies, so a
  *     /instr/{name}?uarch=X variant is assembled from three spans
  *     (shared prefix, record fragment, "]}") without re-rendering,

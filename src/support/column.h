@@ -1,19 +1,18 @@
 /**
  * @file
- * Owned-or-borrowed columnar storage.
+ * Owned-or-bound columnar storage.
  *
  * The instruction database stores every field as a flat array of
  * trivially copyable elements. During ingest those arrays must grow;
- * after a zero-copy snapshot load they are views into a memory-mapped
+ * after a zero-copy shard load they are views into a memory-mapped
  * buffer that the database does not own. Column<T> unifies the two:
- * it is a growable vector in owned mode and a (pointer, size) view in
- * borrowed mode, with copy-on-write — the first mutation of a
- * borrowed column materializes a private owned copy, so ingesting on
- * top of a mapped database is legal and never writes through the map.
+ * it is a growable vector in owned mode and a (pointer, size) view
+ * once bound. A bound column is never written: the shard loader hands
+ * out const databases, so only ingest ever grows a column.
  *
- * The holder of borrowed columns is responsible for keeping the
- * backing buffer alive (InstructionDatabase retains a shared_ptr to
- * the mapping); a Column never frees borrowed memory.
+ * The holder of bound columns is responsible for keeping the backing
+ * buffer alive (InstructionDatabase retains a shared_ptr to the
+ * mapping); a Column never frees bound memory.
  */
 
 #ifndef UOPS_SUPPORT_COLUMN_H
@@ -43,13 +42,10 @@ class Column
 
     const T &operator[](size_t i) const { return data_[i]; }
 
-    /** Whether the elements live in an external (mapped) buffer. */
-    bool borrowed() const { return borrowed_; }
-
+    /** Grow an owned column (ingest only; never called once bound). */
     void
     push_back(const T &value)
     {
-        ensureOwned();
         owned_.push_back(value);
         refresh();
     }
@@ -57,26 +53,12 @@ class Column
     void
     append(const T *ptr, size_t n)
     {
-        ensureOwned();
         owned_.insert(owned_.end(), ptr, ptr + n);
         refresh();
     }
 
-    /**
-     * Size the owned storage for a bulk read (stream snapshot load);
-     * returns the writable element buffer.
-     */
-    T *
-    resizeForRead(size_t n)
-    {
-        borrowed_ = false;
-        owned_.resize(n);
-        refresh();
-        return owned_.data();
-    }
-
     /** Become a view of @p n elements at @p ptr (caller keeps the
-     *  buffer alive; zero-copy snapshot load). */
+     *  buffer alive; zero-copy shard load). */
     void
     bind(const T *ptr, size_t n)
     {
@@ -84,23 +66,12 @@ class Column
         owned_.shrink_to_fit();
         data_ = ptr;
         size_ = n;
-        borrowed_ = true;
     }
 
     Column(const Column &) = delete;
     Column &operator=(const Column &) = delete;
 
   private:
-    void
-    ensureOwned()
-    {
-        if (!borrowed_)
-            return;
-        owned_.assign(data_, data_ + size_);
-        borrowed_ = false;
-        refresh();
-    }
-
     void
     refresh()
     {
@@ -110,7 +81,6 @@ class Column
 
     const T *data_ = nullptr;
     size_t size_ = 0;
-    bool borrowed_ = false;
     std::vector<T> owned_;
 };
 
@@ -134,9 +104,7 @@ class BytePool
         bytes_.append(s.data(), s.size());
     }
 
-    char *resizeForRead(size_t n) { return bytes_.resizeForRead(n); }
     void bind(const char *ptr, size_t n) { bytes_.bind(ptr, n); }
-    bool borrowed() const { return bytes_.borrowed(); }
 
   private:
     Column<char> bytes_;

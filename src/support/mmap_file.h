@@ -2,9 +2,9 @@
  * @file
  * Read-only memory-mapped file wrapper.
  *
- * The zero-copy snapshot loader points database columns straight into
- * a mapping of the shard file instead of copying every array through
- * an iostream. MappedFile owns the mapping (RAII over open+mmap) and
+ * The shard loader (the only loader) points database columns straight
+ * into a mapping of the shard file instead of copying any array.
+ * MappedFile owns the mapping (RAII over open+mmap) and
  * is handed around as a shared_ptr so every database loaded from it
  * keeps the bytes alive for as long as any column still references
  * them — the ownership rule behind hot-swap serving: an old

@@ -2,18 +2,21 @@
  * @file
  * Tests for the instruction-performance database (src/db): the
  * golden round-trip property (characterize → XML export → XML ingest
- * → snapshot save → snapshot load must be bit-identical to the
- * in-memory ingest path), columnar queries, snapshot validation,
- * snapshot-identical answers under concurrent readers, and the
- * sharded catalog engine (golden shard round-trip over both the
- * stream and the zero-copy mmap loader, incremental-sweep splicing
- * bit-identical to a full sweep, lossless v2 → v3 migration, and
- * corrupt-store rejection).
+ * → shard save → shard load must be bit-identical to the streaming
+ * sweep ingest), shard queries, shard validation (corrupt input,
+ * retired container versions, a seeded mutation corpus fed straight
+ * to the loader), identical answers under concurrent readers, and the
+ * sharded catalog engine (golden shard round-trip, incremental-sweep
+ * splicing bit-identical to a full sweep, routed queries,
+ * corrupt-store rejection, and the errors of openCatalog).
  */
 
+#include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -41,7 +44,7 @@ sliceFilter(const isa::InstrVariant &v)
 const std::vector<uarch::UArch> kArches = {uarch::UArch::Nehalem,
                                            uarch::UArch::Skylake};
 
-/** One shared characterization run for the whole suite. */
+/** One shared characterization report for the XML paths. */
 const core::CharacterizationReport &
 sliceReport()
 {
@@ -54,102 +57,164 @@ sliceReport()
     return report;
 }
 
-/** Database built through the in-memory ingest path. */
-const db::InstructionDatabase &
-sliceDb()
+/** The slice as a catalog built by the streaming sweep ingest. */
+std::shared_ptr<const db::DatabaseCatalog>
+sweepCatalog()
 {
-    // Built in place: InstructionDatabase is neither copyable nor
-    // movable (its indexes hold views into the string pool).
-    static const db::InstructionDatabase *database = [] {
-        auto *built = new db::InstructionDatabase();
-        built->ingest(sliceReport());
-        return built;
+    static const auto catalog = [] {
+        core::BatchOptions options;
+        options.num_threads = 2;
+        options.characterizer.filter = sliceFilter;
+        options.keep_results = false;
+        return db::runCatalogSweep(defaultDb(), kArches, options,
+                                   nullptr);
     }();
-    return *database;
+    return catalog;
+}
+
+const db::InstructionDatabase &
+shardOf(uarch::UArch arch)
+{
+    const db::InstructionDatabase *shard =
+        sweepCatalog()->shard(arch);
+    EXPECT_NE(shard, nullptr);
+    return *shard;
+}
+
+/** Fresh, empty temp directory for one test. */
+std::string
+freshDir(const std::string &name)
+{
+    auto path = std::filesystem::temp_directory_path() /
+                ("uops_db_test_" + name);
+    std::filesystem::remove_all(path);
+    return path.string();
+}
+
+void
+spill(const std::string &path, std::string_view bytes)
+{
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    os.write(bytes.data(),
+             static_cast<std::streamsize>(bytes.size()));
+    ASSERT_TRUE(static_cast<bool>(os)) << path;
+}
+
+/** Run @p bytes through the one loader (via a scratch file, since
+ *  loadShardMapped maps files). The file is unlinked once mapped, so
+ *  the next call never rewrites bytes a live database still maps. */
+std::unique_ptr<const db::InstructionDatabase>
+loadBytes(std::string_view bytes, uarch::UArch expected)
+{
+    static const std::string path = freshDir("bytes") + ".shard";
+    spill(path, bytes);
+    auto mapping = mapFile(path);
+    std::filesystem::remove(path);
+    return db::loadShardMapped(std::move(mapping), expected);
+}
+
+/** Every field of two records, compared exactly. */
+void
+expectSameRecord(const db::RecordView &a, const db::RecordView &b)
+{
+    EXPECT_EQ(a.name(), b.name());
+    EXPECT_EQ(a.arch(), b.arch());
+    EXPECT_EQ(a.mnemonic(), b.mnemonic());
+    EXPECT_EQ(a.extension(), b.extension());
+    EXPECT_TRUE(a.portUsage() == b.portUsage());
+    EXPECT_EQ(a.uopCount(), b.uopCount());
+    EXPECT_EQ(a.maxLatency(), b.maxLatency());
+    // Bit-identical fixed-point values, not approximately equal.
+    EXPECT_EQ(a.tpMeasured(), b.tpMeasured());
+    EXPECT_EQ(a.tpWithBreakers(), b.tpWithBreakers());
+    EXPECT_EQ(a.tpSlow(), b.tpSlow());
+    EXPECT_EQ(a.tpFromPorts(), b.tpFromPorts());
+    EXPECT_EQ(a.sameRegCycles(), b.sameRegCycles());
+    EXPECT_EQ(a.storeRoundTrip(), b.storeRoundTrip());
+    auto lats_a = a.latencies();
+    auto lats_b = b.latencies();
+    ASSERT_EQ(lats_a.size(), lats_b.size());
+    for (size_t i = 0; i < lats_a.size(); ++i) {
+        EXPECT_EQ(lats_a[i].src_op, lats_b[i].src_op);
+        EXPECT_EQ(lats_a[i].dst_op, lats_b[i].dst_op);
+        EXPECT_EQ(lats_a[i].cycles, lats_b[i].cycles);
+        EXPECT_EQ(lats_a[i].upper_bound, lats_b[i].upper_bound);
+        EXPECT_EQ(lats_a[i].slow_cycles, lats_b[i].slow_cycles);
+    }
+}
+
+/** Shard bytes of every entry, in uarch order. */
+std::vector<std::string>
+allShardBytes(const std::vector<db::ShardEntry> &shards)
+{
+    std::vector<std::string> out;
+    for (const db::ShardEntry &entry : shards)
+        out.push_back(db::shardBytes(*entry.db));
+    return out;
 }
 
 // ---------------------------------------------------------------------
 // The golden round-trip (acceptance criterion).
 // ---------------------------------------------------------------------
 
-TEST(DbRoundTrip, XmlIngestIsBitIdenticalToInMemoryIngest)
+TEST(DbRoundTrip, XmlIngestIsBitIdenticalToSweepIngest)
 {
     // characterize → XML export → XML ingest ...
-    std::string xml_text = sliceReport().toXmlString();
-    isa::ResultsDoc doc = isa::parseResultsXml(xml_text);
-    db::InstructionDatabase from_xml;
-    from_xml.ingestResults(doc, &defaultDb());
+    isa::ResultsDoc doc =
+        isa::parseResultsXml(sliceReport().toXmlString());
+    std::vector<db::ShardEntry> from_xml =
+        db::ingestResults(doc, &defaultDb());
 
-    // ... must match the in-memory ingest bit for bit.
-    EXPECT_EQ(db::snapshotBytes(sliceDb()),
-              db::snapshotBytes(from_xml));
+    // ... must match the streamed shards bit for bit.
+    ASSERT_EQ(from_xml.size(), 2u);
+    EXPECT_EQ(from_xml[0].arch, uarch::UArch::Nehalem);
+    EXPECT_EQ(from_xml[1].arch, uarch::UArch::Skylake);
+    EXPECT_EQ(allShardBytes(from_xml),
+              allShardBytes(sweepCatalog()->shards()));
 }
 
-TEST(DbRoundTrip, SnapshotSaveLoadIsBitExact)
+TEST(DbRoundTrip, ShardSaveLoadIsBitExact)
 {
-    std::string bytes = db::snapshotBytes(sliceDb());
-    auto loaded = db::loadSnapshotBytes(bytes);
-    // save(load(save(db))) == save(db)
-    EXPECT_EQ(db::snapshotBytes(*loaded), bytes);
-    EXPECT_EQ(loaded->numRecords(), sliceDb().numRecords());
+    for (const db::ShardEntry &entry : sweepCatalog()->shards()) {
+        std::string bytes = db::shardBytes(*entry.db);
+        auto loaded = loadBytes(bytes, entry.arch);
+        // save(load(save(db))) == save(db)
+        EXPECT_EQ(db::shardBytes(*loaded), bytes);
+        EXPECT_EQ(loaded->arch(), entry.arch);
+        EXPECT_EQ(loaded->numRecords(), entry.db->numRecords());
+    }
 }
 
 TEST(DbRoundTrip, FullPipelineGolden)
 {
     // The complete chain of the acceptance criterion in one line per
     // stage: characterize → XML → ingest → save → load, then compare
-    // query answers (not just bytes) against the in-memory path.
+    // query answers (not just bytes) against the streamed shards.
     auto doc = isa::parseResultsXml(sliceReport().toXmlString());
-    db::InstructionDatabase from_xml;
-    from_xml.ingestResults(doc, &defaultDb());
-    auto loaded = db::loadSnapshotBytes(db::snapshotBytes(from_xml));
-
-    const db::InstructionDatabase &direct = sliceDb();
-    ASSERT_EQ(loaded->numRecords(), direct.numRecords());
-    for (uint32_t row = 0;
-         row < static_cast<uint32_t>(direct.numRecords()); ++row) {
-        db::RecordView a = direct.record(row);
-        db::RecordView b = loaded->record(row);
-        EXPECT_EQ(a.name(), b.name());
-        EXPECT_EQ(a.arch(), b.arch());
-        EXPECT_EQ(a.extension(), b.extension());
-        EXPECT_TRUE(a.portUsage() == b.portUsage());
-        EXPECT_EQ(a.uopCount(), b.uopCount());
-        EXPECT_EQ(a.maxLatency(), b.maxLatency());
-        // Bit-identical doubles, not approximately equal.
-        EXPECT_EQ(a.tpMeasured(), b.tpMeasured());
-        EXPECT_EQ(a.tpWithBreakers(), b.tpWithBreakers());
-        EXPECT_EQ(a.tpSlow(), b.tpSlow());
-        EXPECT_EQ(a.tpFromPorts(), b.tpFromPorts());
-        EXPECT_EQ(a.sameRegCycles(), b.sameRegCycles());
-        EXPECT_EQ(a.storeRoundTrip(), b.storeRoundTrip());
-        auto lats_a = a.latencies();
-        auto lats_b = b.latencies();
-        ASSERT_EQ(lats_a.size(), lats_b.size());
-        for (size_t i = 0; i < lats_a.size(); ++i) {
-            EXPECT_EQ(lats_a[i].src_op, lats_b[i].src_op);
-            EXPECT_EQ(lats_a[i].dst_op, lats_b[i].dst_op);
-            EXPECT_EQ(lats_a[i].cycles, lats_b[i].cycles);
-            EXPECT_EQ(lats_a[i].upper_bound, lats_b[i].upper_bound);
-            EXPECT_EQ(lats_a[i].slow_cycles, lats_b[i].slow_cycles);
-        }
+    for (const db::ShardEntry &entry :
+         db::ingestResults(doc, &defaultDb())) {
+        auto loaded =
+            loadBytes(db::shardBytes(*entry.db), entry.arch);
+        const db::InstructionDatabase &direct = shardOf(entry.arch);
+        ASSERT_EQ(loaded->numRecords(), direct.numRecords());
+        for (uint32_t row = 0;
+             row < static_cast<uint32_t>(direct.numRecords()); ++row)
+            expectSameRecord(direct.record(row), loaded->record(row));
     }
 }
 
 TEST(DbRoundTrip, StreamingSweepIngestIsBitIdenticalToAllPaths)
 {
-    // Direct sweep -> DB: records stream into the database while the
-    // sweep runs, with no XML tree and (keep_results = false) no
-    // retained per-variant results. The snapshot must be
-    // byte-identical to both the in-memory ingest of a full report
-    // and the XML-materializing path — with v2's integer Cycles
-    // columns that is plain memcmp equality, no text canonicalization
-    // anywhere.
+    // Direct sweep -> shards: records stream into the per-uarch
+    // databases while the sweep runs, with no XML tree and
+    // (keep_results = false) no retained per-variant results. The
+    // shards must be byte-identical at any thread count and to the
+    // XML-materializing path — with integer Cycles columns that is
+    // plain memcmp equality, no text canonicalization anywhere.
     core::BatchOptions options;
     options.num_threads = 4;
     options.characterizer.filter = sliceFilter;
-    db::InstructionDatabase streamed;
-    db::SweepIngestor ingestor(streamed);
+    db::CatalogSweepIngestor ingestor;
     options.sink = &ingestor;
     options.keep_results = false;
     auto report = core::runBatchSweep(defaultDb(), kArches, options);
@@ -167,14 +232,13 @@ TEST(DbRoundTrip, StreamingSweepIngestIsBitIdenticalToAllPaths)
     EXPECT_NE(report.toXmlString().find("<uopsBatch"),
               std::string::npos);
 
-    std::string streamed_bytes = db::snapshotBytes(streamed);
-    EXPECT_EQ(streamed_bytes, db::snapshotBytes(sliceDb()));
-
-    db::InstructionDatabase from_xml;
-    from_xml.ingestResults(
-        isa::parseResultsXml(sliceReport().toXmlString()),
-        &defaultDb());
-    EXPECT_EQ(streamed_bytes, db::snapshotBytes(from_xml));
+    std::vector<std::string> streamed =
+        allShardBytes(ingestor.takeShards());
+    EXPECT_EQ(streamed, allShardBytes(sweepCatalog()->shards()));
+    EXPECT_EQ(streamed,
+              allShardBytes(db::ingestResults(
+                  isa::parseResultsXml(sliceReport().toXmlString()),
+                  &defaultDb())));
 }
 
 TEST(DbRoundTrip, CyclesRoundingIsIdempotent)
@@ -244,123 +308,143 @@ TEST(ResultsXml, PortUsageStringRoundTrips)
 
 TEST(DbQuery, PointLookup)
 {
-    const db::InstructionDatabase &database = sliceDb();
-    auto row = database.find(uarch::UArch::Skylake, "ADD_R64_R64");
+    const db::InstructionDatabase &skl = shardOf(uarch::UArch::Skylake);
+    EXPECT_EQ(skl.arch(), uarch::UArch::Skylake);
+    auto row = skl.find("ADD_R64_R64");
     ASSERT_TRUE(row.has_value());
-    db::RecordView rec = database.record(*row);
+    db::RecordView rec = skl.record(*row);
     EXPECT_EQ(rec.name(), "ADD_R64_R64");
     EXPECT_EQ(rec.mnemonic(), "ADD");
     EXPECT_EQ(rec.arch(), uarch::UArch::Skylake);
     EXPECT_GT(rec.uopCount(), 0);
     EXPECT_GT(rec.tpMeasured().hundredths(), 0);
 
-    EXPECT_FALSE(
-        database.find(uarch::UArch::Skylake, "NO_SUCH_VARIANT"));
-    // Present on both uarches.
-    EXPECT_EQ(database.findByName("ADD_R64_R64").size(), 2u);
+    EXPECT_FALSE(skl.find("NO_SUCH_VARIANT"));
+    // Present on both uarches: the catalog routes to either shard.
+    for (uarch::UArch arch : kArches) {
+        auto view = sweepCatalog()->find(arch, "ADD_R64_R64");
+        ASSERT_TRUE(view.has_value());
+        EXPECT_EQ(view->arch(), arch);
+    }
 }
 
 TEST(DbQuery, MnemonicAndExtensionIndexes)
 {
-    const db::InstructionDatabase &database = sliceDb();
+    const db::InstructionDatabase &skl = shardOf(uarch::UArch::Skylake);
     db::Query query;
     query.mnemonic = "ADD";
-    auto rows = database.search(query);
+    auto rows = skl.search(query);
     ASSERT_FALSE(rows.empty());
     for (uint32_t row : rows)
-        EXPECT_EQ(database.record(row).mnemonic(), "ADD");
+        EXPECT_EQ(skl.record(row).mnemonic(), "ADD");
 
     db::Query by_ext;
     by_ext.extension = "AVX";
-    by_ext.arch = uarch::UArch::Skylake;
-    auto avx_rows = database.search(by_ext);
+    auto avx_rows = skl.search(by_ext);
     ASSERT_FALSE(avx_rows.empty());
     for (uint32_t row : avx_rows)
-        EXPECT_EQ(database.record(row).extension(), "AVX");
+        EXPECT_EQ(skl.record(row).extension(), "AVX");
 
     // AVX doesn't exist on Nehalem.
-    by_ext.arch = uarch::UArch::Nehalem;
-    EXPECT_TRUE(database.search(by_ext).empty());
+    EXPECT_TRUE(shardOf(uarch::UArch::Nehalem).search(by_ext).empty());
+}
+
+TEST(DbQuery, ForeignUarchQueryAnswersNothing)
+{
+    // A shard holds one uarch: a query for another matches no row,
+    // whatever else it asks; a query for its own uarch is the same
+    // as one that names no uarch.
+    const db::InstructionDatabase &skl = shardOf(uarch::UArch::Skylake);
+    db::Query any;
+    db::Query own;
+    own.arch = uarch::UArch::Skylake;
+    db::Query foreign;
+    foreign.arch = uarch::UArch::Nehalem;
+    EXPECT_EQ(skl.search(own), skl.search(any));
+    EXPECT_EQ(skl.search(any).size(), skl.numRecords());
+    EXPECT_TRUE(skl.search(foreign).empty());
+    foreign.name = "ADD_R64_R64";
+    EXPECT_TRUE(skl.search(foreign).empty());
 }
 
 TEST(DbQuery, PortMaskSupersetScan)
 {
-    const db::InstructionDatabase &database = sliceDb();
+    const db::InstructionDatabase &skl = shardOf(uarch::UArch::Skylake);
     db::Query query;
     query.arch = uarch::UArch::Skylake;
     query.uses_ports = uarch::portMask({0, 5});
-    auto rows = database.search(query);
+    auto rows = skl.search(query);
     ASSERT_FALSE(rows.empty());
     for (uint32_t row : rows) {
-        uarch::PortMask mask = database.record(row).portUnion();
+        uarch::PortMask mask = skl.record(row).portUnion();
         EXPECT_EQ(mask & query.uses_ports, query.uses_ports)
-            << std::string(database.record(row).name());
+            << std::string(skl.record(row).name());
     }
     // Sanity: the filter excludes something (e.g. pure p23 loads).
-    db::Query all;
-    all.arch = uarch::UArch::Skylake;
-    EXPECT_LT(rows.size(), database.search(all).size());
+    EXPECT_LT(rows.size(), skl.numRecords());
 }
 
 TEST(DbQuery, ThroughputAndLatencyRanges)
 {
-    const db::InstructionDatabase &database = sliceDb();
     db::Query query;
     query.tp_min = db::tpBoundMin(0.9);
     query.tp_max = db::tpBoundMax(30.0);
-    auto rows = database.search(query);
-    ASSERT_FALSE(rows.empty());
-    for (uint32_t row : rows) {
-        double tp = database.record(row).tpMeasured().toDouble();
+    auto records = sweepCatalog()->search(query);
+    ASSERT_FALSE(records.empty());
+    for (const db::RecordView &rec : records) {
+        double tp = rec.tpMeasured().toDouble();
         EXPECT_GE(tp, 0.9);
         EXPECT_LE(tp, 30.0);
     }
 
     db::Query lat_query;
     lat_query.lat_min = 10;   // dividers
-    auto lat_rows = database.search(lat_query);
-    ASSERT_FALSE(lat_rows.empty());
-    for (uint32_t row : lat_rows)
-        EXPECT_GE(database.record(row).maxLatency(), 10);
+    auto lat_records = sweepCatalog()->search(lat_query);
+    ASSERT_FALSE(lat_records.empty());
+    for (const db::RecordView &rec : lat_records)
+        EXPECT_GE(rec.maxLatency(), 10);
 }
 
 TEST(DbQuery, LimitAndCombinedPredicates)
 {
-    const db::InstructionDatabase &database = sliceDb();
+    const db::InstructionDatabase &skl = shardOf(uarch::UArch::Skylake);
     db::Query query;
     query.arch = uarch::UArch::Skylake;
     query.limit = 3;
-    EXPECT_EQ(database.search(query).size(), 3u);
+    EXPECT_EQ(skl.search(query).size(), 3u);
 
     db::Query combined;
     combined.mnemonic = "DIV";
     combined.arch = uarch::UArch::Skylake;
     combined.lat_min = 2;
-    auto rows = database.search(combined);
+    auto rows = skl.search(combined);
+    ASSERT_FALSE(rows.empty());
     for (uint32_t row : rows) {
-        EXPECT_EQ(database.record(row).mnemonic(), "DIV");
-        EXPECT_GE(database.record(row).maxLatency(), 2);
+        EXPECT_EQ(skl.record(row).mnemonic(), "DIV");
+        EXPECT_GE(skl.record(row).maxLatency(), 2);
     }
 }
 
 TEST(DbQuery, CrossUArchDiff)
 {
-    const db::InstructionDatabase &database = sliceDb();
-    db::DiffResult diff =
-        database.diff(uarch::UArch::Nehalem, uarch::UArch::Skylake);
+    const db::DatabaseCatalog &catalog = *sweepCatalog();
+    db::CatalogDiff diff =
+        catalog.diff(uarch::UArch::Nehalem, uarch::UArch::Skylake);
     EXPECT_GT(diff.common, 0u);
     // AVX variants exist only on Skylake.
     EXPECT_FALSE(diff.only_b.empty());
     EXPECT_TRUE(diff.only_a.empty());
-    for (const db::DiffEntry &entry : diff.changed) {
+    EXPECT_TRUE(std::is_sorted(diff.only_b.begin(), diff.only_b.end()));
+    for (const db::CatalogDiffEntry &entry : diff.changed) {
         EXPECT_TRUE(entry.tp_differs || entry.ports_differ ||
                     entry.latency_differs);
-        EXPECT_EQ(database.record(entry.row_a).name(),
-                  database.record(entry.row_b).name());
+        EXPECT_EQ(entry.a.name(), entry.b.name());
+        EXPECT_EQ(entry.a.arch(), uarch::UArch::Nehalem);
+        EXPECT_EQ(entry.b.arch(), uarch::UArch::Skylake);
     }
     // Diff against self reports nothing.
-    db::DiffResult self =
-        database.diff(uarch::UArch::Skylake, uarch::UArch::Skylake);
+    db::CatalogDiff self =
+        catalog.diff(uarch::UArch::Skylake, uarch::UArch::Skylake);
     EXPECT_TRUE(self.changed.empty());
     EXPECT_TRUE(self.only_a.empty());
     EXPECT_TRUE(self.only_b.empty());
@@ -368,23 +452,24 @@ TEST(DbQuery, CrossUArchDiff)
 
 TEST(DbQuery, UArchEnumeration)
 {
-    const db::InstructionDatabase &database = sliceDb();
-    auto arches = database.uarches();
+    const db::DatabaseCatalog &catalog = *sweepCatalog();
+    auto arches = catalog.uarches();
     ASSERT_EQ(arches.size(), 2u);
     EXPECT_EQ(arches[0], uarch::UArch::Nehalem);
     EXPECT_EQ(arches[1], uarch::UArch::Skylake);
-    EXPECT_EQ(database.numRecords(uarch::UArch::Nehalem) +
-                  database.numRecords(uarch::UArch::Skylake),
-              database.numRecords());
+    EXPECT_EQ(catalog.numRecords(uarch::UArch::Nehalem) +
+                  catalog.numRecords(uarch::UArch::Skylake),
+              catalog.numRecords());
+    for (const db::ShardEntry &entry : catalog.shards())
+        EXPECT_EQ(entry.db->arch(), entry.arch);
 }
 
 TEST(DbQuery, ToCharacterizationSetResolvesVariants)
 {
-    const db::InstructionDatabase &database = sliceDb();
-    auto set = database.toCharacterizationSet(uarch::UArch::Skylake,
-                                              defaultDb());
-    EXPECT_EQ(set.instrs.size(),
-              database.numRecords(uarch::UArch::Skylake));
+    const db::InstructionDatabase &skl = shardOf(uarch::UArch::Skylake);
+    auto set = skl.toCharacterizationSet(defaultDb());
+    EXPECT_EQ(set.arch, uarch::UArch::Skylake);
+    EXPECT_EQ(set.instrs.size(), skl.numRecords());
     const auto *c = set.find("ADD_R64_R64");
     ASSERT_NE(c, nullptr);
     EXPECT_EQ(c->variant, defaultDb().byName("ADD_R64_R64"));
@@ -393,115 +478,233 @@ TEST(DbQuery, ToCharacterizationSetResolvesVariants)
 }
 
 // ---------------------------------------------------------------------
-// Snapshot validation.
+// Shard validation: the one loader takes untrusted bytes.
 // ---------------------------------------------------------------------
 
-TEST(DbSnapshot, RejectsCorruptInput)
-{
-    std::string bytes = db::snapshotBytes(sliceDb());
+/** Header fields of a shard, by byte offset. */
+constexpr size_t kVersionAt = 8;
+constexpr size_t kArchAt = 24;
+constexpr size_t kHeaderBytes = 32;
 
-    EXPECT_THROW(db::loadSnapshotBytes(""), FatalError);
-    EXPECT_THROW(
-        db::loadSnapshotBytes(bytes.substr(0, bytes.size() / 2)),
-        FatalError);
+std::string
+withVersion(std::string bytes, uint32_t version)
+{
+    std::memcpy(bytes.data() + kVersionAt, &version, sizeof version);
+    return bytes;
+}
+
+TEST(DbShard, RejectsCorruptInput)
+{
+    const uarch::UArch arch = uarch::UArch::Skylake;
+    std::string bytes = db::shardBytes(shardOf(arch));
+
+    EXPECT_THROW(loadBytes("", arch), db::StoreError);
+    EXPECT_THROW(loadBytes(std::string_view(bytes).substr(
+                               0, bytes.size() / 2),
+                           arch),
+                 db::StoreError);
 
     std::string bad_magic = bytes;
     bad_magic[0] = 'X';
-    EXPECT_THROW(db::loadSnapshotBytes(bad_magic), FatalError);
+    EXPECT_THROW(loadBytes(bad_magic, arch), db::StoreError);
 
-    std::string bad_version = bytes;
-    bad_version[8] = char(0x7f);
-    EXPECT_THROW(db::loadSnapshotBytes(bad_version), FatalError);
+    EXPECT_THROW(loadBytes(withVersion(bytes, 0x7f), arch),
+                 db::StoreError);
 
-    // A corrupt array-length prefix (first array starts after the
-    // 24-byte header) must be a FatalError before any allocation:
-    // 16M declared elements exceed the remaining file bytes but pass
-    // the implausible-size cap, so this exercises the stream-length
-    // bound specifically.
+    // A shard for another uarch than the manifest names.
+    EXPECT_THROW(loadBytes(bytes, uarch::UArch::Haswell),
+                 db::StoreError);
+    // Records that disagree with their header uarch.
+    std::string foreign_header = bytes;
+    foreign_header[kArchAt] =
+        static_cast<char>(uarch::UArch::Haswell);
+    EXPECT_THROW(loadBytes(foreign_header, uarch::UArch::Haswell),
+                 db::StoreError);
+
+    // A corrupt array-length prefix (the first array starts after the
+    // 32-byte header) must be refused before any use: 16M declared
+    // elements exceed the remaining file bytes but pass the
+    // implausible-size cap, so this exercises the length bound.
     std::string length_bomb = bytes;
-    length_bomb[24] = char(0xff);
-    length_bomb[25] = char(0xff);
-    length_bomb[26] = char(0xff);
+    length_bomb[kHeaderBytes] = char(0xff);
+    length_bomb[kHeaderBytes + 1] = char(0xff);
+    length_bomb[kHeaderBytes + 2] = char(0xff);
     for (size_t i = 3; i < 8; ++i)
-        length_bomb[24 + i] = 0;
-    EXPECT_THROW(db::loadSnapshotBytes(length_bomb), FatalError);
+        length_bomb[kHeaderBytes + i] = 0;
+    EXPECT_THROW(loadBytes(length_bomb, arch), db::StoreError);
 }
 
-TEST(DbSnapshot, IngestAfterLoadStaysBitIdentical)
+TEST(DbShard, RetiredVersionsAreRefusedByName)
 {
-    // Loading a snapshot re-interns the string pool, so ingesting
-    // more uarches on top of a loaded database must produce the same
-    // bytes as ingesting everything in memory.
-    db::InstructionDatabase direct;
-    direct.ingest(sliceReport().uarches[0].toSet());
-    direct.ingest(sliceReport().uarches[1].toSet());
-
-    db::InstructionDatabase first;
-    first.ingest(sliceReport().uarches[0].toSet());
-    auto resumed = db::loadSnapshotBytes(db::snapshotBytes(first));
-    resumed->ingest(sliceReport().uarches[1].toSet());
-
-    EXPECT_EQ(db::snapshotBytes(direct), db::snapshotBytes(*resumed));
+    // v1 (floating-point cycle columns) and v2 (the multi-uarch
+    // monolith) are refused with an error that names the version.
+    const uarch::UArch arch = uarch::UArch::Skylake;
+    std::string bytes = db::shardBytes(shardOf(arch));
+    for (uint32_t version : {1u, 2u}) {
+        SCOPED_TRACE("version " + std::to_string(version));
+        try {
+            loadBytes(withVersion(bytes, version), arch);
+            FAIL() << "expected StoreError";
+        } catch (const db::StoreError &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "version " + std::to_string(version)),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
-TEST(DbSnapshot, DuplicateIngestIsRejected)
+/** Byte offsets of every array-length field of a shard, walked with
+ *  the column element widths in serialization order. */
+std::vector<size_t>
+lengthFieldOffsets(const std::string &bytes)
 {
-    db::InstructionDatabase database;
-    database.ingest(sliceReport().uarches[0].toSet());
-    EXPECT_THROW(database.ingest(sliceReport().uarches[0].toSet()),
-                 FatalError);
+    static const size_t kWidths[] = {1, 4, 4, 1, 4, 4, 4, 2, 2, 2,
+                                     1, 8, 8, 8, 8, 8, 8, 4, 4, 2,
+                                     2, 2, 2, 2, 2, 1, 8, 8};
+    std::vector<size_t> out;
+    size_t at = kHeaderBytes;
+    for (size_t width : kWidths) {
+        uint64_t n = 0;
+        std::memcpy(&n, bytes.data() + at, sizeof n);
+        out.push_back(at);
+        size_t payload = static_cast<size_t>(n) * width;
+        at += sizeof n + payload + (8 - payload % 8) % 8;
+    }
+    EXPECT_EQ(at, bytes.size()) << "shard layout drifted";
+    return out;
+}
+
+TEST(DbShard, MutatedShardsThrowOrLoadClean)
+{
+    // Seeded mutation corpus fed straight to the loader, bypassing the
+    // manifest hash that guards it in a catalog: every mutant must
+    // either be refused with a FatalError, or load into a database
+    // whose every record reads and re-serializes cleanly (the
+    // sanitizer job turns any out-of-bounds read into a failure).
+    const uarch::UArch arch = uarch::UArch::Skylake;
+    const std::string golden = db::shardBytes(shardOf(arch));
+    const std::vector<size_t> length_fields = lengthFieldOffsets(golden);
+    ASSERT_EQ(length_fields.size(), 28u);
+
+    std::mt19937_64 rng(0x5AAD5EED);
+    auto below = [&rng](uint64_t n) { return rng() % n; };
+    size_t refused = 0, loaded = 0;
+    for (int trial = 0; trial < 1500; ++trial) {
+        std::string mutant = golden;
+        switch (trial % 3) {
+        case 0:   // one to four byte flips
+            for (uint64_t k = 0, n = 1 + below(4); k < n; ++k)
+                mutant[below(mutant.size())] ^=
+                    static_cast<char>(1 + below(255));
+            break;
+        case 1:   // truncation
+            mutant.resize(below(mutant.size()));
+            break;
+        case 2: {  // array-length overwrite
+            const size_t at = length_fields[below(length_fields.size())];
+            uint64_t n = 0;
+            std::memcpy(&n, mutant.data() + at, sizeof n);
+            const uint64_t choices[] = {0,        n - 1,   n + 1,
+                                        n * 2,    1ull << 32,
+                                        ~0ull,    rng()};
+            uint64_t value = choices[below(7)];
+            std::memcpy(mutant.data() + at, &value, sizeof value);
+            break;
+        }
+        }
+        SCOPED_TRACE("trial " + std::to_string(trial));
+        std::unique_ptr<const db::InstructionDatabase> db;
+        try {
+            db = loadBytes(mutant, arch);
+        } catch (const FatalError &) {
+            ++refused;
+            continue;
+        }
+        ++loaded;
+        for (uint32_t row = 0;
+             row < static_cast<uint32_t>(db->numRecords()); ++row) {
+            db::RecordView rec = db->record(row);
+            EXPECT_EQ(db->find(rec.name()), std::optional<uint32_t>(row));
+            (void)rec.mnemonic();
+            (void)rec.extension();
+            (void)rec.portUsage();
+            (void)rec.latencies();
+            (void)rec.tpWithBreakers();
+            (void)rec.tpSlow();
+            (void)rec.tpFromPorts();
+            (void)rec.sameRegCycles();
+            (void)rec.storeRoundTrip();
+        }
+        db::Query query;
+        query.uses_ports = uarch::portMask({0});
+        query.lat_max = 5;
+        (void)db->search(query);
+        std::string again = db::shardBytes(*db);
+        EXPECT_EQ(db::shardBytes(*loadBytes(again, arch)), again);
+    }
+    // The corpus exercises both outcomes.
+    EXPECT_GT(refused, 300u);
+    EXPECT_GT(loaded, 30u);
+}
+
+TEST(DbShard, DuplicateRecordsAreRejected)
+{
+    // One record per (uarch, variant): a results document listing a
+    // uarch twice cannot ingest.
+    isa::ResultsDoc doc =
+        isa::parseResultsXml(sliceReport().toXmlString());
+    doc.uarches.push_back(doc.uarches.front());
+    EXPECT_THROW(db::ingestResults(doc, &defaultDb()), FatalError);
 }
 
 // ---------------------------------------------------------------------
-// Concurrent readers (satellite: snapshot-identical responses).
+// Concurrent readers (snapshot-identical responses).
 // ---------------------------------------------------------------------
 
 TEST(DbConcurrency, ParallelReadersSeeIdenticalAnswers)
 {
-    const db::InstructionDatabase &database = sliceDb();
+    const db::DatabaseCatalog &catalog = *sweepCatalog();
+    const db::InstructionDatabase &skl = shardOf(uarch::UArch::Skylake);
 
     // Baseline answers, computed single-threaded.
     db::Query by_ports;
     by_ports.uses_ports = uarch::portMask({0});
-    const auto baseline_ports = database.search(by_ports);
+    const auto baseline_ports = skl.search(by_ports);
     db::Query by_mnemonic;
     by_mnemonic.mnemonic = "ADD";
-    const auto baseline_add = database.search(by_mnemonic);
+    const auto baseline_add = catalog.search(by_mnemonic).size();
     const auto baseline_diff =
-        database.diff(uarch::UArch::Nehalem, uarch::UArch::Skylake);
-    const auto baseline_row =
-        database.find(uarch::UArch::Skylake, "ADD_R64_R64");
+        catalog.diff(uarch::UArch::Nehalem, uarch::UArch::Skylake);
+    const auto baseline_row = skl.find("ADD_R64_R64");
     ASSERT_TRUE(baseline_row.has_value());
-    const Cycles baseline_tp =
-        database.record(*baseline_row).tpMeasured();
+    const Cycles baseline_tp = skl.record(*baseline_row).tpMeasured();
 
     std::atomic<size_t> mismatches{0};
     ThreadPool pool(8);
     pool.parallelFor(400, [&](size_t i, size_t) {
         switch (i % 4) {
           case 0: {
-            if (database.search(by_ports) != baseline_ports)
+            if (skl.search(by_ports) != baseline_ports)
                 ++mismatches;
             break;
           }
           case 1: {
-            if (database.search(by_mnemonic) != baseline_add)
+            if (catalog.search(by_mnemonic).size() != baseline_add)
                 ++mismatches;
             break;
           }
           case 2: {
-            auto diff = database.diff(uarch::UArch::Nehalem,
-                                      uarch::UArch::Skylake);
+            auto diff = catalog.diff(uarch::UArch::Nehalem,
+                                     uarch::UArch::Skylake);
             if (diff.common != baseline_diff.common ||
                 diff.changed.size() != baseline_diff.changed.size())
                 ++mismatches;
             break;
           }
           case 3: {
-            auto row =
-                database.find(uarch::UArch::Skylake, "ADD_R64_R64");
-            if (!row ||
-                database.record(*row).tpMeasured() != baseline_tp)
+            auto row = skl.find("ADD_R64_R64");
+            if (!row || skl.record(*row).tpMeasured() != baseline_tp)
                 ++mismatches;
             break;
           }
@@ -514,88 +717,36 @@ TEST(DbConcurrency, ParallelReadersSeeIdenticalAnswers)
 // The sharded catalog engine.
 // ---------------------------------------------------------------------
 
-/** Fresh, empty temp directory for one test. */
-std::string
-freshDir(const std::string &name)
-{
-    auto path = std::filesystem::temp_directory_path() /
-                ("uops_db_test_" + name);
-    std::filesystem::remove_all(path);
-    return path.string();
-}
-
-/** Catalog built by the sharded streaming sweep (same slice). */
-std::shared_ptr<const db::DatabaseCatalog>
-sweepCatalog()
-{
-    static const auto catalog = [] {
-        core::BatchOptions options;
-        options.num_threads = 2;
-        options.characterizer.filter = sliceFilter;
-        options.keep_results = false;
-        return db::runCatalogSweep(defaultDb(), kArches, options,
-                                   nullptr);
-    }();
-    return catalog;
-}
-
-TEST(Catalog, ShardedSweepMatchesMonolithSplit)
-{
-    // The two construction paths — streaming per-uarch sweep ingest
-    // and splitting a monolithic database — must produce the same
-    // shard bytes, or migration and incremental sweeps could not be
-    // compared by hash.
-    auto split = db::DatabaseCatalog::fromMonolith(sliceDb(), 1);
-    ASSERT_EQ(split->shards().size(),
-              sweepCatalog()->shards().size());
-    for (size_t i = 0; i < split->shards().size(); ++i) {
-        const db::ShardEntry &a = split->shards()[i];
-        const db::ShardEntry &b = sweepCatalog()->shards()[i];
-        EXPECT_EQ(a.arch, b.arch);
-        EXPECT_EQ(db::shardBytes(*a.db, a.arch),
-                  db::shardBytes(*b.db, b.arch));
-        EXPECT_EQ(a.hash, b.hash);
-        EXPECT_EQ(a.file, b.file);
-    }
-}
-
-TEST(Catalog, GoldenShardRoundTripStreamAndMmap)
+TEST(Catalog, GoldenShardRoundTrip)
 {
     const std::string dir = freshDir("roundtrip");
     db::saveCatalogDir(*sweepCatalog(), dir);
 
-    for (db::LoadMode mode :
-         {db::LoadMode::Stream, db::LoadMode::Mmap}) {
-        auto loaded = db::loadCatalogDir(dir, mode);
-        EXPECT_EQ(loaded->generation(),
-                  sweepCatalog()->generation());
-        ASSERT_EQ(loaded->shards().size(),
-                  sweepCatalog()->shards().size());
-        for (size_t i = 0; i < loaded->shards().size(); ++i) {
-            const db::ShardEntry &got = loaded->shards()[i];
-            const db::ShardEntry &want =
-                sweepCatalog()->shards()[i];
-            EXPECT_EQ(got.arch, want.arch);
-            EXPECT_EQ(got.records, want.records);
-            EXPECT_EQ(got.hash, want.hash);
-            // Loaded shards re-serialize to the exact bytes saved —
-            // through the copying loader and the zero-copy one.
-            EXPECT_EQ(db::shardBytes(*got.db, got.arch),
-                      db::shardBytes(*want.db, want.arch));
-        }
-
-        // Query answers are loader-independent.
-        auto view =
-            loaded->find(uarch::UArch::Skylake, "ADD_R64_R64");
-        ASSERT_TRUE(view.has_value());
-        auto want_view = sweepCatalog()->find(uarch::UArch::Skylake,
-                                              "ADD_R64_R64");
-        EXPECT_EQ(view->tpMeasured(), want_view->tpMeasured());
-        db::Query query;
-        query.uses_ports = uarch::portMask({0});
-        EXPECT_EQ(loaded->search(query).size(),
-                  sweepCatalog()->search(query).size());
+    auto loaded = db::loadCatalogDir(dir);
+    EXPECT_EQ(loaded->generation(), sweepCatalog()->generation());
+    ASSERT_EQ(loaded->shards().size(),
+              sweepCatalog()->shards().size());
+    for (size_t i = 0; i < loaded->shards().size(); ++i) {
+        const db::ShardEntry &got = loaded->shards()[i];
+        const db::ShardEntry &want = sweepCatalog()->shards()[i];
+        EXPECT_EQ(got.arch, want.arch);
+        EXPECT_EQ(got.db->arch(), want.arch);
+        EXPECT_EQ(got.records, want.records);
+        EXPECT_EQ(got.hash, want.hash);
+        // Loaded shards re-serialize to the exact bytes saved.
+        EXPECT_EQ(db::shardBytes(*got.db), db::shardBytes(*want.db));
     }
+
+    // Query answers survive the round trip.
+    auto view = loaded->find(uarch::UArch::Skylake, "ADD_R64_R64");
+    ASSERT_TRUE(view.has_value());
+    auto want_view =
+        sweepCatalog()->find(uarch::UArch::Skylake, "ADD_R64_R64");
+    expectSameRecord(*view, *want_view);
+    db::Query query;
+    query.uses_ports = uarch::portMask({0});
+    EXPECT_EQ(loaded->search(query).size(),
+              sweepCatalog()->search(query).size());
 }
 
 TEST(Catalog, IncrementalSpliceEqualsFullSweep)
@@ -624,8 +775,7 @@ TEST(Catalog, IncrementalSpliceEqualsFullSweep)
         EXPECT_EQ(got.arch, want.arch);
         EXPECT_EQ(got.hash, want.hash)
             << uarch::uarchShortName(got.arch);
-        EXPECT_EQ(db::shardBytes(*got.db, got.arch),
-                  db::shardBytes(*want.db, want.arch));
+        EXPECT_EQ(db::shardBytes(*got.db), db::shardBytes(*want.db));
     }
     // The untouched shard is shared with the base, not copied.
     EXPECT_EQ(spliced->shard(uarch::UArch::Nehalem),
@@ -654,106 +804,45 @@ TEST(Catalog, IncrementalSpliceEqualsFullSweep)
     EXPECT_EQ(db::loadCatalogDir(dir_incr)->generation(), 2u);
 }
 
-TEST(Catalog, MigrateV2SnapshotIsLossless)
-{
-    // A legacy monolith converts to a shard set whose bytes equal a
-    // fresh sharded sweep of the same results (v1 stays refused by
-    // the loader underneath).
-    const std::string snap =
-        freshDir("migrate_src") + "_v2.snap";
-    db::saveSnapshotFile(sliceDb(), snap);
-
-    const std::string dir = freshDir("migrate_out");
-    db::migrateSnapshot(snap, dir);
-    auto migrated = db::loadCatalogDir(dir);
-    EXPECT_EQ(migrated->generation(), 1u);
-    ASSERT_EQ(migrated->shards().size(),
-              sweepCatalog()->shards().size());
-    for (size_t i = 0; i < migrated->shards().size(); ++i)
-        EXPECT_EQ(migrated->shards()[i].hash,
-                  sweepCatalog()->shards()[i].hash);
-
-    // openCatalog serves the legacy file directly too (generation 0
-    // marks "not from a sharded store").
-    auto legacy = db::openCatalog(snap);
-    EXPECT_EQ(legacy->generation(), 0u);
-    EXPECT_EQ(legacy->numRecords(), sliceDb().numRecords());
-}
-
-TEST(Catalog, QueriesMatchMonolith)
+TEST(Catalog, RoutedQueriesMatchShards)
 {
     const db::DatabaseCatalog &catalog = *sweepCatalog();
-    const db::InstructionDatabase &mono = sliceDb();
+    const db::InstructionDatabase &nhm = shardOf(uarch::UArch::Nehalem);
+    const db::InstructionDatabase &skl = shardOf(uarch::UArch::Skylake);
 
-    EXPECT_EQ(catalog.numRecords(), mono.numRecords());
-    EXPECT_EQ(catalog.uarches(), mono.uarches());
-
-    // Search answers in the same order as the arch-major monolith.
+    // An unrouted search concatenates the shards' answers in uarch
+    // order.
     db::Query query;
     query.uses_ports = uarch::portMask({0, 5});
-    auto catalog_rows = catalog.search(query);
-    auto mono_rows = mono.search(query);
-    ASSERT_EQ(catalog_rows.size(), mono_rows.size());
-    for (size_t i = 0; i < mono_rows.size(); ++i) {
-        db::RecordView want = mono.record(mono_rows[i]);
-        EXPECT_EQ(catalog_rows[i].name(), want.name());
-        EXPECT_EQ(catalog_rows[i].arch(), want.arch());
-        EXPECT_EQ(catalog_rows[i].tpMeasured(), want.tpMeasured());
-    }
+    std::vector<db::RecordView> want;
+    for (const db::InstructionDatabase *shard : {&nhm, &skl})
+        for (uint32_t row : shard->search(query))
+            want.push_back(shard->record(row));
+    auto got = catalog.search(query);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < want.size(); ++i)
+        expectSameRecord(got[i], want[i]);
 
-    // Limits span shards exactly like a monolith row-order scan.
+    // A routed search is the one shard's answer.
+    query.arch = uarch::UArch::Skylake;
+    auto routed = catalog.search(query);
+    auto rows = skl.search(query);
+    ASSERT_EQ(routed.size(), rows.size());
+    for (size_t i = 0; i < rows.size(); ++i)
+        EXPECT_EQ(routed[i].row(), rows[i]);
+
+    // Limits span shards.
     db::Query limited;
-    limited.limit = static_cast<size_t>(
-        mono.numRecords(uarch::UArch::Nehalem) + 2);
+    limited.limit = nhm.numRecords() + 2;
     auto spanning = catalog.search(limited);
     ASSERT_EQ(spanning.size(), limited.limit);
     EXPECT_EQ(spanning.front().arch(), uarch::UArch::Nehalem);
     EXPECT_EQ(spanning.back().arch(), uarch::UArch::Skylake);
 
-    EXPECT_EQ(catalog.findByName("ADD_R64_R64").size(),
-              mono.findByName("ADD_R64_R64").size());
-
-    // Diff agrees with the monolith in content and order.
-    auto catalog_diff =
-        catalog.diff(uarch::UArch::Nehalem, uarch::UArch::Skylake);
-    auto mono_diff =
-        mono.diff(uarch::UArch::Nehalem, uarch::UArch::Skylake);
-    EXPECT_EQ(catalog_diff.common, mono_diff.common);
-    EXPECT_EQ(catalog_diff.only_a, mono_diff.only_a);
-    EXPECT_EQ(catalog_diff.only_b, mono_diff.only_b);
-    ASSERT_EQ(catalog_diff.changed.size(),
-              mono_diff.changed.size());
-    for (size_t i = 0; i < mono_diff.changed.size(); ++i) {
-        EXPECT_EQ(catalog_diff.changed[i].a.name(),
-                  mono.record(mono_diff.changed[i].row_a).name());
-        EXPECT_EQ(catalog_diff.changed[i].tp_differs,
-                  mono_diff.changed[i].tp_differs);
-        EXPECT_EQ(catalog_diff.changed[i].ports_differ,
-                  mono_diff.changed[i].ports_differ);
-        EXPECT_EQ(catalog_diff.changed[i].latency_differs,
-                  mono_diff.changed[i].latency_differs);
-    }
-}
-
-TEST(Catalog, MmapLoadIsCopyOnWriteForLaterIngest)
-{
-    // Ingesting on top of a zero-copy-loaded shard must produce the
-    // same bytes as the all-in-memory build: the first mutation
-    // copies the borrowed columns out of the mapping.
-    const std::string dir = freshDir("mmap_cow");
-    db::saveCatalogDir(*sweepCatalog(), dir);
-    const db::ShardEntry &nhm = sweepCatalog()->shards().front();
-    ASSERT_EQ(nhm.arch, uarch::UArch::Nehalem);
-
-    auto mapped = db::loadShardMapped(mapFile(dir + "/" + nhm.file),
-                                      uarch::UArch::Nehalem);
-    mapped->ingest(sliceReport().uarches[1].toSet());
-
-    db::InstructionDatabase direct;
-    direct.ingest(sliceReport().uarches[0].toSet());
-    direct.ingest(sliceReport().uarches[1].toSet());
-    EXPECT_EQ(db::snapshotBytes(*mapped),
-              db::snapshotBytes(direct));
+    // An absent uarch routes nowhere.
+    EXPECT_FALSE(catalog.find(uarch::UArch::Haswell, "ADD_R64_R64"));
+    query.arch = uarch::UArch::Haswell;
+    EXPECT_TRUE(catalog.search(query).empty());
 }
 
 TEST(Catalog, CorruptStoreIsRefused)
@@ -765,8 +854,7 @@ TEST(Catalog, CorruptStoreIsRefused)
     EXPECT_EQ(db::readCatalogGeneration(dir + "_missing"),
               std::nullopt);
 
-    // Flip one byte of a shard: the manifest hash check refuses it
-    // on both load paths.
+    // Flip one byte of a shard: the manifest hash check refuses it.
     const std::string victim =
         dir + "/" + sweepCatalog()->shards().back().file;
     {
@@ -780,18 +868,66 @@ TEST(Catalog, CorruptStoreIsRefused)
         file.seekp(100);
         file.write(&byte, 1);
     }
-    EXPECT_THROW(db::loadCatalogDir(dir, db::LoadMode::Stream),
-                 FatalError);
-    EXPECT_THROW(db::loadCatalogDir(dir, db::LoadMode::Mmap),
-                 FatalError);
-
-    // A torn manifest is rejected too.
-    {
-        std::ofstream manifest(dir + "/manifest",
-                               std::ios::binary | std::ios::trunc);
-        manifest << "UOPSMF";
-    }
     EXPECT_THROW(db::loadCatalogDir(dir), FatalError);
+
+    // A torn manifest is rejected too, even with intact shards.
+    const std::string torn = freshDir("corrupt_torn");
+    db::saveCatalogDir(*sweepCatalog(), torn);
+    spill(torn + "/" + db::manifestFileName(1), "UOPSMF");
+    EXPECT_THROW(db::loadCatalogDir(torn), db::CatalogError);
+}
+
+TEST(Catalog, OpenCatalogNamesMissingPaths)
+{
+    // A missing path or a non-directory is a CatalogError naming the
+    // path, not a misleading "cannot open" from a file loader.
+    const std::string missing = freshDir("no_such_dir");
+    try {
+        db::openCatalog(missing);
+        FAIL() << "expected CatalogError";
+    } catch (const db::CatalogError &e) {
+        EXPECT_NE(std::string(e.what()).find(missing),
+                  std::string::npos)
+            << e.what();
+    }
+
+    const std::string plain = freshDir("plain") + ".txt";
+    spill(plain, "not a catalog");
+    try {
+        db::openCatalog(plain);
+        FAIL() << "expected CatalogError";
+    } catch (const db::CatalogError &e) {
+        EXPECT_NE(std::string(e.what()).find(plain), std::string::npos)
+            << e.what();
+    }
+
+    // A bare v3 shard is a file, not a catalog either.
+    const std::string bare = freshDir("bare") + ".shard";
+    spill(bare, db::shardBytes(shardOf(uarch::UArch::Skylake)));
+    EXPECT_THROW(db::openCatalog(bare), db::CatalogError);
+}
+
+TEST(Catalog, OpenCatalogNamesRetiredContainerVersions)
+{
+    const std::string bytes =
+        db::shardBytes(shardOf(uarch::UArch::Skylake));
+    for (uint32_t version : {1u, 2u}) {
+        SCOPED_TRACE("version " + std::to_string(version));
+        const std::string path = freshDir("retired_v" +
+                                          std::to_string(version)) +
+                                 ".snap";
+        spill(path, withVersion(bytes, version));
+        try {
+            db::openCatalog(path);
+            FAIL() << "expected StoreError";
+        } catch (const db::StoreError &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("version " + std::to_string(version)),
+                      std::string::npos)
+                << what;
+            EXPECT_NE(what.find(path), std::string::npos) << what;
+        }
+    }
 }
 
 TEST(Catalog, EmptyShardRoundTrips)

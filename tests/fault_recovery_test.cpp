@@ -107,15 +107,12 @@ splicedCatalog()
 }
 
 /** The generation a reopened directory serves, checked for internal
- *  consistency against the golden catalogs in both load modes. */
+ *  consistency against the golden catalogs. */
 uint64_t
 verifyReopen(const std::string &dir, db::RecoveryReport *report)
 {
     auto loaded = db::loadCatalogDir(dir, db::LoadMode::Mmap, true,
                                      report);
-    auto streamed = db::loadCatalogDir(dir, db::LoadMode::Stream);
-    EXPECT_EQ(loaded->generation(), streamed->generation());
-    EXPECT_EQ(loaded->numRecords(), streamed->numRecords());
 
     const db::DatabaseCatalog &want = loaded->generation() == 1
                                           ? *baseCatalog()
@@ -455,8 +452,6 @@ TEST(CorruptionCorpus, EveryManifestTruncationIsRejected)
         // load must throw a structured error (and never crash).
         EXPECT_THROW(db::loadCatalogDir(dir, db::LoadMode::Mmap),
                      FatalError);
-        EXPECT_THROW(db::loadCatalogDir(dir, db::LoadMode::Stream),
-                     FatalError);
     }
     spill(manifest_path, golden);
     EXPECT_EQ(verifyReopen(dir, nullptr), 1u);
@@ -503,10 +498,8 @@ TEST(CorruptionCorpus, ShardBitFlipsAreAlwaysDetected)
         bad[pos] = static_cast<char>(bad[pos] ^ 0x20);
         spill(shard_path, bad);
         // Hash verification catches any flip before shard parsing,
-        // in both load modes, as a structured error.
+        // as a structured error.
         EXPECT_THROW(db::loadCatalogDir(dir, db::LoadMode::Mmap),
-                     FatalError);
-        EXPECT_THROW(db::loadCatalogDir(dir, db::LoadMode::Stream),
                      FatalError);
     }
     spill(shard_path, golden);
@@ -529,8 +522,6 @@ TEST(CorruptionCorpus, TruncatedShardsAreAlwaysDetected)
         SCOPED_TRACE("length " + std::to_string(len));
         spill(shard_path, std::string_view(golden).substr(0, len));
         EXPECT_THROW(db::loadCatalogDir(dir, db::LoadMode::Mmap),
-                     FatalError);
-        EXPECT_THROW(db::loadCatalogDir(dir, db::LoadMode::Stream),
                      FatalError);
     }
     spill(shard_path, golden);

@@ -2,9 +2,10 @@
  * @file
  * Property and regression tests for the predicate-pushdown scan
  * executor (src/db/scan.*): randomized composed predicates must
- * answer exactly like a brute-force RecordView filter over a seeded
- * all-nine-uarch catalog, the index/arch-run short-circuits must
- * actually fire (asserted through ScanStats), the fixed-point
+ * answer exactly like a brute-force RecordView filter over every shard
+ * of a seeded all-nine-uarch catalog and over the catalog's routed
+ * search, the index short-circuits must actually fire (asserted
+ * through ScanStats), the fixed-point
  * throughput-bound conversion must round the way the doc comment
  * promises, and the cross-generation analytics merge must agree with
  * a hand-built name-keyed diff.
@@ -33,7 +34,7 @@ namespace {
 
 /** Same diverse slice as db_test (GPR ALU, zero idiom, SSE, AVX,
  *  divider, memory), but swept across every supported generation so
- *  arch-run restriction and analytics merges see all nine shards. */
+ *  routing and analytics merges see all nine shards. */
 bool
 scanSliceFilter(const isa::InstrVariant &v)
 {
@@ -42,36 +43,26 @@ scanSliceFilter(const isa::InstrVariant &v)
            m == "MOVAPS" || m == "VPXOR" || m == "IMUL";
 }
 
-const core::CharacterizationReport &
-nineReport()
-{
-    static const core::CharacterizationReport report = [] {
-        core::BatchOptions options;
-        options.num_threads = 2;
-        options.characterizer.filter = scanSliceFilter;
-        return core::runBatchSweep(defaultDb(), uarch::allUArches(),
-                                   options);
-    }();
-    return report;
-}
-
-const db::InstructionDatabase &
-nineDb()
-{
-    static const db::InstructionDatabase *database = [] {
-        auto *built = new db::InstructionDatabase();
-        built->ingest(nineReport());
-        return built;
-    }();
-    return *database;
-}
-
 std::shared_ptr<const db::DatabaseCatalog>
 nineCatalog()
 {
-    static const auto catalog =
-        db::DatabaseCatalog::fromMonolith(nineDb(), 1);
+    static const auto catalog = [] {
+        core::BatchOptions options;
+        options.num_threads = 2;
+        options.characterizer.filter = scanSliceFilter;
+        return db::runCatalogSweep(defaultDb(), uarch::allUArches(),
+                                   options, nullptr);
+    }();
     return catalog;
+}
+
+/** One shard of the nine-uarch catalog. */
+const db::InstructionDatabase &
+shardOf(uarch::UArch arch)
+{
+    const db::InstructionDatabase *shard = nineCatalog()->shard(arch);
+    EXPECT_NE(shard, nullptr);
+    return *shard;
 }
 
 /** The RecordFlag byte reconstructed purely through the public
@@ -148,6 +139,22 @@ bruteForceSearch(const db::InstructionDatabase &db, const db::Query &q)
     return rows;
 }
 
+/** The catalog's routed search, brute-forced: every shard in uarch
+ *  order, the limit spanning shards. */
+std::vector<std::pair<uarch::UArch, uint32_t>>
+bruteForceCatalogSearch(const db::DatabaseCatalog &catalog,
+                        db::Query q)
+{
+    std::vector<std::pair<uarch::UArch, uint32_t>> out;
+    const size_t limit = q.limit;
+    for (const db::ShardEntry &entry : catalog.shards()) {
+        q.limit = limit - out.size();
+        for (uint32_t row : bruteForceSearch(*entry.db, q))
+            out.emplace_back(entry.arch, row);
+    }
+    return out;
+}
+
 /** One random query: every field set with independent probability,
  *  operands sampled from a real row half the time (so conjunctions
  *  actually hit) and drawn blind otherwise (so misses and
@@ -219,16 +226,27 @@ randomQuery(std::mt19937 &rng, const db::InstructionDatabase &db)
 
 TEST(ScanProperty, RandomComposedPredicatesMatchBruteForce)
 {
-    const db::InstructionDatabase &db = nineDb();
-    ASSERT_GT(db.numRecords(), 400u);
+    const db::DatabaseCatalog &catalog = *nineCatalog();
+    ASSERT_EQ(catalog.shards().size(), 9u);
+    ASSERT_GT(catalog.numRecords(), 400u);
 
     std::mt19937 rng(0x5EED);
     for (int trial = 0; trial < 400; ++trial) {
+        const db::InstructionDatabase &db =
+            *catalog.shards()[rng() % catalog.shards().size()].db;
         db::Query q = randomQuery(rng, db);
-        auto expected = bruteForceSearch(db, q);
-        auto actual = db.search(q);
-        ASSERT_EQ(expected, actual)
-            << "trial " << trial << " diverged from brute force";
+        // Every shard (including the foreign-uarch ones a routed
+        // query never reaches) answers exactly like brute force.
+        for (const db::ShardEntry &entry : catalog.shards())
+            ASSERT_EQ(bruteForceSearch(*entry.db, q),
+                      entry.db->search(q))
+                << "trial " << trial << " diverged from brute force on "
+                << uarch::uarchShortName(entry.arch);
+        std::vector<std::pair<uarch::UArch, uint32_t>> routed;
+        for (const db::RecordView &rec : catalog.search(q))
+            routed.emplace_back(rec.arch(), rec.row());
+        ASSERT_EQ(bruteForceCatalogSearch(catalog, q), routed)
+            << "trial " << trial << " routed search diverged";
     }
 }
 
@@ -236,14 +254,13 @@ TEST(ScanProperty, ExecutorWithExplicitPredicatesMatchesQueryPath)
 {
     // The factory-built PredicateSet must behave exactly like the
     // Query compiled through predicatesFromQuery.
-    const db::InstructionDatabase &db = nineDb();
+    const db::InstructionDatabase &db = shardOf(uarch::UArch::Skylake);
     db::Query q;
     q.arch = uarch::UArch::Skylake;
     q.uses_ports = uarch::portMask({0, 5});
     q.lat_max = 6;
 
     db::PredicateSet preds;
-    preds.add(db::archIs(uarch::UArch::Skylake));
     preds.add(db::portsSuperset(uarch::portMask({0, 5})));
     preds.add(db::latBetween(std::nullopt, 6));
 
@@ -252,9 +269,25 @@ TEST(ScanProperty, ExecutorWithExplicitPredicatesMatchesQueryPath)
     EXPECT_EQ(bruteForceSearch(db, q), exec.run(preds));
 }
 
+TEST(ScanProperty, QueryUarchRoutesButNeverCompiles)
+{
+    // A database holds one uarch, so Query::arch compiles to nothing;
+    // the database compares it once before the executor runs.
+    db::Query q;
+    q.arch = uarch::UArch::Haswell;
+    EXPECT_TRUE(db::predicatesFromQuery(q).empty());
+    q.uops_max = 1;
+    EXPECT_EQ(db::predicatesFromQuery(q).size(), 1u);
+    const db::InstructionDatabase &db = shardOf(uarch::UArch::Skylake);
+    EXPECT_TRUE(db.search(q).empty());
+    EXPECT_FALSE(db::ScanExecutor(db)
+                     .run(db::predicatesFromQuery(q))
+                     .empty());
+}
+
 TEST(ScanProperty, EmptyPredicateSetReturnsEveryRowInOrder)
 {
-    const db::InstructionDatabase &db = nineDb();
+    const db::InstructionDatabase &db = shardOf(uarch::UArch::Skylake);
     db::ScanExecutor exec(db);
     auto rows = exec.run(db::PredicateSet{});
     ASSERT_EQ(rows.size(), db.numRecords());
@@ -266,7 +299,7 @@ TEST(ScanProperty, EmptyPredicateSetReturnsEveryRowInOrder)
 
 TEST(ScanProperty, LimitTruncatesFirstMatchesExactly)
 {
-    const db::InstructionDatabase &db = nineDb();
+    const db::InstructionDatabase &db = shardOf(uarch::UArch::Skylake);
     db::Query q;
     q.uses_ports = uarch::portMask({0});
     auto all = db.search(q);
@@ -291,10 +324,10 @@ TEST(ScanProperty, PredicateSetOverflowThrows)
 
 TEST(ScanStats, StringIndexShortCircuitsTheScan)
 {
-    const db::InstructionDatabase &db = nineDb();
+    const db::InstructionDatabase &db = shardOf(uarch::UArch::Skylake);
     db::PredicateSet preds;
     preds.add(db::mnemonicIs("ADD"));
-    preds.add(db::archIs(uarch::UArch::Skylake));
+    preds.add(db::portsSubset(uarch::portMask({0, 1, 5, 6})));
 
     db::ScanStats stats;
     db::ScanExecutor exec(db);
@@ -308,7 +341,7 @@ TEST(ScanStats, StringIndexShortCircuitsTheScan)
 
 TEST(ScanStats, UnknownStringOperandAnswersEmptyWithoutScanning)
 {
-    const db::InstructionDatabase &db = nineDb();
+    const db::InstructionDatabase &db = shardOf(uarch::UArch::Skylake);
     db::PredicateSet preds;
     preds.add(db::nameIs("NO SUCH VARIANT"));
     db::ScanStats stats;
@@ -317,24 +350,9 @@ TEST(ScanStats, UnknownStringOperandAnswersEmptyWithoutScanning)
     EXPECT_EQ(stats.rows_considered, 0u);
 }
 
-TEST(ScanStats, ArchPredicateCollapsesToContiguousRange)
-{
-    const db::InstructionDatabase &db = nineDb();
-    db::PredicateSet preds;
-    preds.add(db::archIs(uarch::UArch::Haswell));
-    db::ScanStats stats;
-    db::ScanExecutor exec(db);
-    auto rows = exec.run(preds, SIZE_MAX, &stats);
-    ASSERT_FALSE(rows.empty());
-    EXPECT_TRUE(stats.used_arch_range);
-    // The range restriction considered exactly the uarch's rows.
-    EXPECT_EQ(stats.rows_considered, rows.size());
-    EXPECT_EQ(stats.rows_matched, rows.size());
-}
-
 TEST(ScanStats, SelectiveThroughputWindowUsesOrderIndex)
 {
-    const db::InstructionDatabase &db = nineDb();
+    const db::InstructionDatabase &db = shardOf(uarch::UArch::Skylake);
     // The most expensive throughput in the slice (the divider) is
     // rare; its exact window is far below the n/4 cutoff, so the
     // order index must pre-filter instead of scanning.
@@ -406,7 +424,7 @@ TEST(TpBounds, RangeQueryAgreesWithDoubleComparison)
 {
     // End to end: converting a double range at the boundary must
     // select exactly the records a double comparison would.
-    const db::InstructionDatabase &db = nineDb();
+    const db::InstructionDatabase &db = shardOf(uarch::UArch::Skylake);
     for (double lo : {0.25, 0.33, 0.5, 1.0, 3.07}) {
         db::Query q;
         q.tp_min = db::tpBoundMin(lo);
@@ -432,25 +450,26 @@ TEST(Analytics, ChangedSetMatchesHandBuiltDiff)
     q.direction = db::AnalyticsQuery::Direction::Changed;
     auto result = catalog->analytics(q);
 
-    // Reference: name-keyed maps over the monolith's two shards.
-    const db::InstructionDatabase &db = nineDb();
-    std::map<std::string_view, uint32_t> from_rows, to_rows;
-    for (uint32_t row = 0;
-         row < static_cast<uint32_t>(db.numRecords()); ++row) {
-        db::RecordView r = db.record(row);
-        if (r.arch() == q.from)
-            from_rows[r.name()] = row;
-        if (r.arch() == q.to)
-            to_rows[r.name()] = row;
-    }
+    // Reference: name-keyed maps over the two shards.
+    const db::InstructionDatabase &from = shardOf(q.from);
+    const db::InstructionDatabase &to = shardOf(q.to);
+    auto byName = [](const db::InstructionDatabase &db) {
+        std::map<std::string_view, uint32_t> rows;
+        for (uint32_t row = 0;
+             row < static_cast<uint32_t>(db.numRecords()); ++row)
+            rows[db.record(row).name()] = row;
+        return rows;
+    };
+    const auto from_rows = byName(from);
+    const auto to_rows = byName(to);
     size_t common = 0, changed = 0;
     for (const auto &[name, from_row] : from_rows) {
         auto it = to_rows.find(name);
         if (it == to_rows.end())
             continue;
         ++common;
-        db::RecordView a = db.record(from_row);
-        db::RecordView b = db.record(it->second);
+        db::RecordView a = from.record(from_row);
+        db::RecordView b = to.record(it->second);
         if (a.tpMeasured() != b.tpMeasured() ||
             a.maxLatency() != b.maxLatency())
             ++changed;

@@ -14,8 +14,11 @@ generic over both benchmark formats: runs are keyed by their
 ``threads`` (sweep) or ``name`` (db query) field, and the throughput
 metric is ``tasks_per_s`` or ``ops_per_s``. The baseline file may nest
 its runs under ``optimized`` (BENCH_sweep.json) or ``baseline``
-(BENCH_db.json). Runs present in only one file (e.g. a benchmark
-added after the baseline was recorded) are reported but not compared.
+(BENCH_db.json). A run present only in the current output (e.g. a
+benchmark added after the baseline was recorded) is reported but not
+compared. A baseline run missing from the current output fails the
+check: a benchmark that is deleted takes its baseline row with it, so
+a silently vanished row cannot pass for a kept one.
 
 Only slowdowns fail the check; speedups are reported but fine. The
 default tolerance is deliberately wide (25%) because shared CI
@@ -111,7 +114,7 @@ requires_seen = set()
 
 
 def compare_pair(current_path, baseline_path, tolerance, requires,
-                 failures):
+                 failures, missing):
     """Compare one (current, baseline) file pair; returns runs compared."""
     with open(current_path) as f:
         current_doc = json.load(f)
@@ -126,7 +129,9 @@ def compare_pair(current_path, baseline_path, tolerance, requires,
     print(f"{'run':<24} {'baseline':>12} {'current':>12} {'ratio':>8}")
     for key, base_run in baseline.items():
         if key not in current:
-            print(f"{key:<24} {'(missing in current output)':>34}")
+            print(f"{key:<24} {'(missing in current output)':>34}"
+                  "  << MISSING")
+            missing.append(f"{current_path}:{key}")
             continue
         metric, base_value = run_metric(base_run)
         _, cur_value = run_metric(current[key])
@@ -192,11 +197,12 @@ def main():
             )
 
     failures = []
+    missing = []
     compared = 0
     for i in range(0, len(args.files), 2):
         compared += compare_pair(
             args.files[i], args.files[i + 1], args.tolerance,
-            requires, failures
+            requires, failures, missing
         )
         print()
 
@@ -209,6 +215,14 @@ def main():
 
     if compared == 0:
         raise SystemExit("error: no comparable runs between the files")
+    status = 0
+    if missing:
+        print(
+            f"FAIL: {len(missing)} baseline run(s) missing from the "
+            f"current output: {', '.join(missing)}",
+            file=sys.stderr,
+        )
+        status = 1
     if failures:
         worst = min(failures, key=lambda f: f[1])
         print(
@@ -217,9 +231,11 @@ def main():
             f"{worst[1]:.2f}x)",
             file=sys.stderr,
         )
-        return 1
-    print(f"OK: {compared} run(s) within {args.tolerance:.0%} of baseline")
-    return 0
+        status = 1
+    if status == 0:
+        print(f"OK: {compared} run(s) within {args.tolerance:.0%} of "
+              "baseline")
+    return status
 
 
 if __name__ == "__main__":
