@@ -149,6 +149,7 @@ registerSweepInstruments(obs::Registry &registry,
 
 std::atomic<uint64_t> g_memo_hits{0};
 std::atomic<uint64_t> g_memo_misses{0};
+std::atomic<uint64_t> g_memo_entries{0};
 
 /** Export the process-wide memo totals (once per process). */
 void
@@ -180,6 +181,7 @@ struct MemoTally
             return;
         g_memo_hits.fetch_add(cache->hits());
         g_memo_misses.fetch_add(cache->misses());
+        g_memo_entries.fetch_add(cache->size());
     }
 };
 
@@ -188,7 +190,8 @@ struct MemoTally
 SweepMemoTotals
 sweepMemoTotals()
 {
-    return {g_memo_hits.load(), g_memo_misses.load()};
+    return {g_memo_hits.load(), g_memo_misses.load(),
+            g_memo_entries.load()};
 }
 
 CharacterizationReport

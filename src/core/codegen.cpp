@@ -21,14 +21,14 @@ RegPool::RegPool(Zone zone) : zone_(zone)
     next_mem_tag_ = zone == Zone::Analyzed ? 1000 : 2000;
 }
 
-std::vector<int>
+FixedVector<int, 4>
 RegPool::candidates(RegClass cls, bool src) const
 {
     // Reserved everywhere: RSP(4), RBP(5) (stack), R14/R15 (harness
     // reserved registers, Section 6.2), XMM0 (implicit blend mask).
     // RAX/RCX/RDX are allowed as destinations but excluded dynamically
     // when a variant pins them as implicit operands.
-    std::vector<int> out;
+    FixedVector<int, 4> out;
     auto add_range = [&](std::initializer_list<int> idxs) {
         for (int i : idxs)
             out.push_back(i);
@@ -73,7 +73,7 @@ RegPool::pick(RegClass cls, bool src)
     auto cand = candidates(cls, src);
     panicIf(cand.empty(), "RegPool: no candidates for class ",
             isa::regClassName(cls));
-    size_t &cur = cursor_[static_cast<int>(cls) * 2 + (src ? 1 : 0)];
+    size_t &cur = cursor_[static_cast<size_t>(cls) * 2 + (src ? 1 : 0)];
     for (size_t tries = 0; tries < cand.size(); ++tries) {
         int idx = cand[cur % cand.size()];
         ++cur;
@@ -110,7 +110,7 @@ RegPool::exclude(const Reg &reg)
 void
 RegPool::rewind()
 {
-    cursor_.clear();
+    cursor_.fill(0);
     next_mem_tag_ = zone_ == Zone::Analyzed ? 1000 : 2000;
     mem_base_.reset();
 }

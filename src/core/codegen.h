@@ -18,11 +18,13 @@
 #ifndef UOPS_CORE_CODEGEN_H
 #define UOPS_CORE_CODEGEN_H
 
+#include <array>
 #include <optional>
 #include <vector>
 
 #include "isa/kernel.h"
 #include "sim/harness.h"
+#include "support/fixed_vector.h"
 #include "uarch/uarch.h"
 
 namespace uops::core {
@@ -68,11 +70,13 @@ class RegPool
     isa::MemLoc nextMem(isa::RegClass base_class = isa::RegClass::Gpr64);
 
   private:
-    std::vector<int> candidates(isa::RegClass cls, bool src) const;
+    FixedVector<int, 4> candidates(isa::RegClass cls, bool src) const;
     isa::Reg pick(isa::RegClass cls, bool src);
 
     Zone zone_;
-    std::map<int, size_t> cursor_;        // per-(class,role) round robin
+    /** Round-robin position per (class, role): index 2*class + src. */
+    std::array<size_t, 2 * (static_cast<size_t>(isa::RegClass::None) + 1)>
+        cursor_{};
     std::vector<isa::Reg> excluded_;
     int next_mem_tag_;
     std::optional<isa::Reg> mem_base_;

@@ -211,10 +211,10 @@ archUnitName(ArchUnit unit)
     return "?" + std::to_string(unit);
 }
 
-std::vector<ArchUnit>
+FixedVector<ArchUnit, 3>
 FlagMask::units() const
 {
-    std::vector<ArchUnit> out;
+    FixedVector<ArchUnit, 3> out;
     if (cf)
         out.push_back(kUnitFlagCf);
     if (af)

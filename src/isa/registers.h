@@ -20,6 +20,8 @@
 #include <string>
 #include <vector>
 
+#include "support/fixed_vector.h"
+
 namespace uops::isa {
 
 /** Register classes (operand widths/kinds). */
@@ -107,8 +109,8 @@ struct FlagMask
     bool any() const { return cf || af || spazo; }
     bool operator==(const FlagMask &other) const = default;
 
-    /** Units covered by this mask. */
-    std::vector<ArchUnit> units() const;
+    /** Units covered by this mask (CF, AF, SPAZO order). */
+    FixedVector<ArchUnit, 3> units() const;
 
     /** Parse DSL letters ("CAPZSO" subsets). */
     static FlagMask fromLetters(const std::string &letters);

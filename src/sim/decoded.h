@@ -27,6 +27,24 @@
  * matching the virtual position, reproducing the materialized
  * kernel's fusion decisions bit for bit.
  *
+ * Rename plans: which architectural state a µop reads and writes is
+ * also a pure function of the instance, so decoding resolves every
+ * µop's operand references once, into a UopPlan over PlanRefs:
+ *
+ *  - sources: rename units (flag groups expanded to one unit each,
+ *    the dependency-breaking idiom's register dropped), memory
+ *    location tags (full width: the implicit stack tag is -1 and
+ *    assembler displacements reach 2^20) and temporaries;
+ *  - merges: the destination units whose old value a write must
+ *    merge with, tagged narrow (partial GPR) or legacy SSE (only
+ *    while the upper YMM state is dirty);
+ *  - destinations: one per spec write, a unit, a flag-group set, a
+ *    memory tag or a temporary.
+ *
+ * The pipeline renames from the plan without looking at operands
+ * again, and Pipeline's program key serializes the same plan, so
+ * there is exactly one resolver.
+ *
  * Lifetime: a DecodedKernel borrows the three kernels; they must
  * outlive it. The fused-pair µop specs are owned by the template.
  */
@@ -34,6 +52,7 @@
 #ifndef UOPS_SIM_DECODED_H
 #define UOPS_SIM_DECODED_H
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -43,19 +62,49 @@
 
 namespace uops::sim {
 
+/** One operand reference of a µop, resolved at decode time. */
+struct PlanRef
+{
+    enum class Kind : uint8_t {
+        Unit,      ///< rename unit @c value (isa::ArchUnit)
+        Flags,     ///< destination only: flag groups, bit 0 CF, 1 AF, 2 SPAZO
+        Mem,       ///< memory location tag @c value
+        Temp,      ///< intra-instruction temporary @c value
+        Narrow,    ///< merge: partial GPR write of unit @c value
+        LegacySse, ///< merge: legacy-SSE write of unit @c value
+    };
+
+    Kind kind = Kind::Unit;
+    int32_t value = 0;
+};
+
+/** One µop of a rename plan: its spec and its resolved operands,
+ *  num_srcs sources, then num_merges merges, then num_dsts
+ *  destinations (parallel to spec->writes), stored contiguously from
+ *  DecodedKernel::refs()[first]. */
+struct UopPlan
+{
+    const uarch::UopSpec *spec = nullptr;
+    uint32_t first = 0;
+    uint8_t num_srcs = 0;
+    uint8_t num_merges = 0;
+    uint8_t num_dsts = 0;
+};
+
 /** Per-instance decode results reused across unrolled copies. */
 struct DecodedInstr
 {
     const isa::InstrInstance *inst = nullptr;
-    const std::vector<uarch::UopSpec> *uops = nullptr;
+
+    /** Rename plan: UopPlans [plan, plan + num_uops) of
+     *  DecodedKernel::plans(). */
+    uint32_t plan = 0;
+    uint32_t num_uops = 0;
 
     bool rename_direct = false; ///< no execution µops (NOP / zero idiom)
     bool try_mov_elim = false;  ///< move-elimination candidate
     bool serializing = false;   ///< drains the pipeline
     bool slow = false;          ///< divider slow-value class
-
-    /** Dependency-breaking idiom: unit whose read is skipped (-1: none). */
-    int skip_unit = -1;
 
     /** Precomputed rename units of an eliminated move's operands. */
     int elim_dst_unit = -1;
@@ -65,10 +114,11 @@ struct DecodedInstr
     enum class YmmEffect : uint8_t { None, ClearUpper, DirtyUpper };
     YmmEffect ymm_effect = YmmEffect::None;
 
-    /** Fused-pair µop when this instruction macro-fuses with its
-     *  successor (nullptr: no fusion). See file comment. */
-    const uarch::UopSpec *fused_next = nullptr;
-    const uarch::UopSpec *fused_wrap = nullptr;
+    /** Index in DecodedKernel::plans() of the fused-pair µop when this
+     *  instruction macro-fuses with its successor (-1: no fusion). See
+     *  file comment. */
+    int32_t fused_next = -1;
+    int32_t fused_wrap = -1;
 };
 
 /**
@@ -96,6 +146,15 @@ class DecodedKernel
     /** Decode entries of prologue · body · epilogue, in order. */
     const std::vector<DecodedInstr> &pattern() const { return pattern_; }
 
+    /** µop plans of every decode entry and fused pair. */
+    const std::vector<UopPlan> &plans() const { return plans_; }
+
+    /** Operand references of every UopPlan. */
+    const std::vector<PlanRef> &refs() const { return refs_; }
+
+    /** One more than the largest temporary any plan names. */
+    size_t numTemps() const { return num_temps_; }
+
     /** Virtual stream length for @p body_reps body copies. */
     size_t
     totalSize(int body_reps) const
@@ -117,20 +176,34 @@ class DecodedKernel
     Ref at(size_t v, int body_reps) const;
 
   private:
-    DecodedInstr decodeOne(const isa::InstrInstance &inst) const;
+    DecodedInstr decodeOne(const isa::InstrInstance &inst);
 
     /** Macro-fusion eligibility (moved here from the pipeline; the
      *  decision is static per instance pair). */
     bool canFuse(const isa::InstrInstance &prod,
                  const isa::InstrInstance &branch) const;
 
-    /** Build (and own) the fused-pair spec, nullptr when not fusible. */
-    const uarch::UopSpec *fusedSpec(const isa::InstrInstance &prod,
-                                    const isa::InstrInstance &branch);
+    /** Build (and own) the fused-pair spec and plan it; the plan index,
+     *  or -1 when not fusible. */
+    int32_t fusedPlan(const DecodedInstr &prod,
+                      const isa::InstrInstance &branch);
+
+    /** Append the plan of @p spec as executed by @p inst. Merges are
+     *  left out for a fused pair, which never merges. */
+    void planUop(const isa::InstrInstance &inst,
+                 const uarch::UopSpec &spec, int skip_unit,
+                 bool merges);
+
+    /** Resolve one reference of @p inst for the plan. */
+    PlanRef resolve(const isa::InstrInstance &inst,
+                    const uarch::OpRef &ref, bool write) const;
 
     const uarch::TimingDb &timing_;
     const uarch::UArchInfo &info_;
     std::vector<DecodedInstr> pattern_; ///< prologue · body · epilogue
+    std::vector<UopPlan> plans_;
+    std::vector<PlanRef> refs_;
+    size_t num_temps_ = 0;
     std::vector<std::unique_ptr<uarch::UopSpec>> fused_specs_;
     size_t prologue_size_ = 0;
     size_t body_size_ = 0;

@@ -73,12 +73,9 @@ MeasurementHarness::measure(const Kernel &body) const
     if (cache_ == nullptr)
         return simulate(decoded);
 
-    std::string key = MeasurementCache::programKey(context_id_, decoded);
-    if (auto hit = cache_->lookup(key))
-        return *hit;
-    Measurement m = simulate(decoded);
-    cache_->insert(key, m);
-    return m;
+    return cache_->getOrCompute(
+        MeasurementCache::programKey(context_id_, decoded),
+        [&] { return simulate(decoded); });
 }
 
 Measurement

@@ -103,28 +103,48 @@ MeasurementCache::shardFor(const std::string &key) const
     return *shards_[h % shards_.size()];
 }
 
-std::optional<Measurement>
-MeasurementCache::lookup(const std::string &key) const
+Measurement
+MeasurementCache::getOrCompute(const std::string &key,
+                               const std::function<Measurement()> &simulate)
 {
     Shard &shard = shardFor(key);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = shard.map.find(key);
-    if (it == shard.map.end()) {
-        misses_.fetch_add(1, std::memory_order_relaxed);
-        return std::nullopt;
+    Entry *entry = nullptr;
+    {
+        std::unique_lock<std::mutex> lock(shard.mutex);
+        for (;;) {
+            auto [it, claimed] = shard.map.try_emplace(key);
+            if (claimed) {
+                // Element references survive rehashing, and only this
+                // caller erases or publishes the claimed entry.
+                entry = &it->second;
+                break;
+            }
+            if (it->second.ready) {
+                hits_.fetch_add(1, std::memory_order_relaxed);
+                return it->second.measurement;
+            }
+            shard.settled.wait(lock);
+        }
     }
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return it->second;
-}
-
-void
-MeasurementCache::insert(const std::string &key, const Measurement &m)
-{
-    Shard &shard = shardFor(key);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    // First writer wins: concurrent writers computed the same value
-    // (the measurement is a pure function of the key).
-    shard.map.emplace(key, m);
+    misses_.fetch_add(1, std::memory_order_relaxed);
+    Measurement m;
+    try {
+        m = simulate();
+    } catch (...) {
+        {
+            std::lock_guard<std::mutex> lock(shard.mutex);
+            shard.map.erase(key);
+        }
+        shard.settled.notify_all();
+        throw;
+    }
+    {
+        std::lock_guard<std::mutex> lock(shard.mutex);
+        entry->measurement = m;
+        entry->ready = true;
+    }
+    shard.settled.notify_all();
+    return m;
 }
 
 size_t

@@ -30,20 +30,29 @@
  * and operands): the request identity /predict coalesces and memoizes
  * responses by, because those responses echo the instructions.
  *
- * The table is sharded by key hash; each shard has its own mutex, so
- * the batch engine shares one cache across all worker threads and
- * uarches with negligible contention (simulator runs are
- * milliseconds; the critical section is a map probe).
+ * Misses are single-flight: the first caller to miss a key claims it
+ * and simulates; a concurrent caller missing the same key waits for
+ * that Measurement instead of simulating it again, and counts as a
+ * hit. So misses() is the number of simulations run and equals size()
+ * whatever the thread count. (Before, concurrent misses of one key
+ * each simulated it and the first insert won: a 4-thread full sweep
+ * ran 10,940-11,940 simulations where a 1-thread one ran 10,486.)
+ *
+ * The table is sharded by key hash; each shard has its own mutex and
+ * condition variable, so the batch engine shares one cache across all
+ * worker threads and uarches with negligible contention (simulator
+ * runs are milliseconds; the critical section is a map probe).
  */
 
 #ifndef UOPS_SIM_MEASUREMENT_CACHE_H
 #define UOPS_SIM_MEASUREMENT_CACHE_H
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -78,11 +87,15 @@ class MeasurementCache
     static std::string fingerprint(const isa::Kernel &body,
                                    const HarnessOptions &options);
 
-    /** Cached measurement for @p key, if present. */
-    std::optional<Measurement> lookup(const std::string &key) const;
-
-    /** Memoize @p m under @p key (first writer wins). */
-    void insert(const std::string &key, const Measurement &m);
+    /**
+     * The measurement memoized under @p key; on a miss, @p simulate
+     * computes it once for every concurrent caller of that key (see
+     * the file comment). If @p simulate throws, the claim is dropped,
+     * the exception propagates, and a waiting caller claims the key
+     * and simulates it itself.
+     */
+    Measurement getOrCompute(const std::string &key,
+                             const std::function<Measurement()> &simulate);
 
     size_t numShards() const { return shards_.size(); }
     size_t size() const;
@@ -90,10 +103,18 @@ class MeasurementCache
     uint64_t misses() const { return misses_.load(); }
 
   private:
+    struct Entry
+    {
+        bool ready = false; ///< false: claimed, being simulated
+        Measurement measurement;
+    };
+
     struct Shard
     {
-        mutable std::mutex mutex;
-        std::unordered_map<std::string, Measurement> map;
+        std::mutex mutex;
+        /** Signalled when a claimed entry is published or dropped. */
+        std::condition_variable settled;
+        std::unordered_map<std::string, Entry> map;
     };
 
     Shard &shardFor(const std::string &key) const;
@@ -101,8 +122,8 @@ class MeasurementCache
     std::vector<std::unique_ptr<Shard>> shards_;
     std::mutex contexts_mutex_;
     std::unordered_map<std::string, uint32_t> contexts_;
-    mutable std::atomic<uint64_t> hits_{0};
-    mutable std::atomic<uint64_t> misses_{0};
+    std::atomic<uint64_t> hits_{0};
+    std::atomic<uint64_t> misses_{0};
 };
 
 } // namespace uops::sim

@@ -3,60 +3,40 @@
 #include <algorithm>
 #include <limits>
 
-#include "support/small_vector.h"
 #include "support/status.h"
 
 namespace uops::sim {
 
-using isa::InstrInstance;
-using isa::Kernel;
-using isa::OpKind;
-using isa::OperandSpec;
-using isa::Reg;
-using isa::RegClass;
 using uarch::Domain;
-using uarch::OpRef;
 using uarch::UopSpec;
 
 namespace {
 
 constexpr int64_t kNotReady = std::numeric_limits<int64_t>::max() / 4;
 
-/** Dynamic (renamed) instance of one µop in flight. */
+/** Dynamic (renamed) instance of one µop in flight: a plain struct,
+ *  copied from the pending queue into the ROB. */
 struct UopDyn
 {
     const UopSpec *spec = nullptr; ///< nullptr for rename-eliminated.
+    int64_t complete = -1;         ///< -1: not finished.
     int32_t instr_idx = -1;
-    int16_t port = -1;
+    /** Source value ids: PipelineScratch::operands[srcs, srcs +
+     *  num_srcs). */
+    uint32_t srcs = 0;
+    /** Destination value ids, one per spec write: consecutive from
+     *  dsts (renaming allocates them in a row). */
+    int32_t dsts = 0;
+    uint16_t num_srcs = 0;
+    uint8_t num_dsts = 0;
     bool slow = false;
     bool dispatched = false;
-    int64_t complete = -1;                ///< -1: not finished.
-    SmallVector<int32_t, 4> srcs;         ///< value ids
-    SmallVector<int32_t, 4> dsts;         ///< value ids, per write
+    int8_t port = -1;
 };
 
-/** Merge dependency a write acquires on its destination's old value:
- *  always for narrow GPR writes, and for legacy-SSE XMM writes while
- *  the upper YMM state is dirty on uarches with the SSE/AVX
- *  transition. */
-enum class MergeKind : uint8_t { None, Narrow, LegacySse };
-
-MergeKind
-mergeKind(const InstrInstance &inst, const OpRef &ref)
-{
-    if (ref.kind != OpRef::Kind::Operand)
-        return MergeKind::None;
-    const OperandSpec &op = inst.variant->operand(ref.index);
-    if (op.kind != OpKind::Reg)
-        return MergeKind::None;
-    RegClass cls = op.reg_class;
-    if (cls == RegClass::Gpr8 || cls == RegClass::Gpr8High ||
-        cls == RegClass::Gpr16)
-        return MergeKind::Narrow;
-    if (cls == RegClass::Xmm && !inst.variant->attrs().is_avx)
-        return MergeKind::LegacySse;
-    return MergeKind::None;
-}
+static_assert(isa::kUnitFlagAf == isa::kUnitFlagCf + 1 &&
+                  isa::kUnitFlagSpazo == isa::kUnitFlagCf + 2,
+              "PlanRef::Kind::Flags bits index the flag units from CF");
 
 } // namespace
 
@@ -64,7 +44,7 @@ mergeKind(const InstrInstance &inst, const OpRef &ref)
  * Whole-run working memory, owned by the Pipeline and reused across
  * runs. Every container is reset (not reallocated) at the start of a
  * run, so the simulated core still observes pristine power-on state
- * while steady-state runs stay allocation-free.
+ * while a warmed pipeline's run allocates nothing per issued µop.
  */
 class PipelineScratch
 {
@@ -78,9 +58,11 @@ class PipelineScratch
      *  a handful of distinct tags, so linear scans beat a std::map. */
     std::vector<std::pair<int, int32_t>> mem_value;
     std::vector<int32_t> temp_value;
+    /** Operand pool: the source value ids of every µop renamed this
+     *  run (UopDyn::srcs indexes it). */
+    std::vector<int32_t> operands;
 
     std::vector<UopDyn> pending_uops;
-    std::vector<uint8_t> pending_rename_only;
     std::vector<UopDyn> rob;
     std::vector<std::vector<size_t>> bound;
     std::vector<size_t> bound_head;
@@ -102,12 +84,12 @@ class Core
         : timing_(timing), info_(info), options_(options),
           decoded_(decoded), body_reps_(body_reps),
           total_(decoded.totalSize(body_reps)),
+          plans_(decoded.plans().data()), refs_(decoded.refs().data()),
           marker_set_(s.marker_set), value_ready_(s.value_ready),
           value_domain_(s.value_domain), unit_value_(s.unit_value),
           mem_value_(s.mem_value), temp_value_(s.temp_value),
-          pending_uops_(s.pending_uops),
-          pending_rename_only_(s.pending_rename_only), rob_(s.rob),
-          bound_(s.bound), bound_head_(s.bound_head),
+          operands_(s.operands), pending_uops_(s.pending_uops),
+          rob_(s.rob), bound_(s.bound), bound_head_(s.bound_head),
           waiting_(s.waiting), div_busy_(s.div_busy),
           instr_uops_left_(s.instr_uops_left)
     {
@@ -120,9 +102,9 @@ class Core
         value_domain_.push_back(static_cast<uint8_t>(Domain::Gpr));
         unit_value_.assign(isa::kNumArchUnits, 0);
         mem_value_.clear();
-        temp_value_.clear();
+        temp_value_.assign(decoded.numTemps(), 0);
+        operands_.clear();
         pending_uops_.clear();
-        pending_rename_only_.clear();
         rob_.clear();
         bound_.resize(static_cast<size_t>(info.num_ports));
         for (auto &queue : bound_)
@@ -177,13 +159,6 @@ class Core
         return pending_head_ == pending_uops_.size();
     }
 
-    void
-    pendingPush(UopDyn &&dyn, bool rename_only)
-    {
-        pending_uops_.push_back(std::move(dyn));
-        pending_rename_only_.push_back(rename_only ? 1 : 0);
-    }
-
     // ---- value table -------------------------------------------------
     int32_t
     newValue()
@@ -208,132 +183,96 @@ class Core
     }
 
     // ---- renaming ----------------------------------------------------
-    /** Value id currently bound to an OpRef source. */
+    /** Value id currently bound to a planned source or merge. */
     int32_t
-    resolveRead(const InstrInstance &inst, const OpRef &ref)
+    readValue(const PlanRef &ref) const
     {
         switch (ref.kind) {
-          case OpRef::Kind::Operand: {
-            const OperandSpec &op = inst.variant->operand(ref.index);
-            if (op.kind == OpKind::Reg)
-                return unit_value_[isa::regUnit(inst.regOf(ref.index))];
-            panicIf(op.kind != OpKind::Flags,
-                    "resolveRead: unexpected operand kind");
-            // Flags: conservatively take the latest of the read groups
-            // by returning a synthetic max value. To stay exact we
-            // treat each group as a separate source (see expandReads).
-            panic("flags reads must be expanded");
-          }
-          case OpRef::Kind::MemAddr: {
-            const Reg &base = inst.ops[ref.index].mem.base;
-            return unit_value_[isa::regUnit(base)];
-          }
-          case OpRef::Kind::MemData: {
-            int tag = inst.ops[ref.index].mem.tag;
+          case PlanRef::Kind::Mem:
             for (const auto &[t, v] : mem_value_)
-                if (t == tag)
+                if (t == ref.value)
                     return v;
             return 0;
-          }
-          case OpRef::Kind::Temp:
-            return temp_value_.at(static_cast<size_t>(ref.index));
+          case PlanRef::Kind::Temp:
+            return temp_value_[static_cast<size_t>(ref.value)];
+          default: // Unit, Narrow, LegacySse
+            return unit_value_[static_cast<size_t>(ref.value)];
         }
-        panic("resolveRead: unreachable");
     }
 
-    /** Expand a read OpRef into concrete source value ids. */
-    void
-    expandReads(const InstrInstance &inst, const OpRef &ref,
-                SmallVector<int32_t, 4> &out, int skip_unit)
-    {
-        if (ref.kind == OpRef::Kind::Operand) {
-            const OperandSpec &op = inst.variant->operand(ref.index);
-            if (op.kind == OpKind::Flags) {
-                for (isa::ArchUnit u : op.flags_read.units())
-                    out.push_back(unit_value_[u]);
-                return;
-            }
-            if (op.kind == OpKind::Reg) {
-                isa::ArchUnit u = isa::regUnit(inst.regOf(ref.index));
-                if (u == skip_unit)
-                    return; // dependency-breaking idiom
-                out.push_back(unit_value_[u]);
-                return;
-            }
-            panic("expandReads: unexpected operand kind for ",
-                  inst.variant->name());
-        }
-        out.push_back(resolveRead(inst, ref));
-    }
-
-    /** Allocate the destination value for a write OpRef and bind it. */
+    /** Allocate the value of a planned destination and bind it. */
     int32_t
-    applyWrite(const InstrInstance &inst, const OpRef &ref)
+    bindWrite(const PlanRef &ref)
     {
         int32_t value = newValue();
         switch (ref.kind) {
-          case OpRef::Kind::Operand: {
-            const OperandSpec &op = inst.variant->operand(ref.index);
-            if (op.kind == OpKind::Flags) {
-                for (isa::ArchUnit u : op.flags_written.units())
-                    unit_value_[u] = value;
-                return value;
-            }
-            panicIf(op.kind != OpKind::Reg,
-                    "applyWrite: unexpected operand kind");
-            unit_value_[isa::regUnit(inst.regOf(ref.index))] = value;
-            return value;
-          }
-          case OpRef::Kind::MemData: {
-            int tag = inst.ops[ref.index].mem.tag;
-            for (auto &[t, v] : mem_value_) {
-                if (t == tag) {
-                    v = value;
-                    return value;
-                }
-            }
-            mem_value_.emplace_back(tag, value);
-            return value;
-          }
-          case OpRef::Kind::Temp:
-            if (temp_value_.size() <= static_cast<size_t>(ref.index))
-                temp_value_.resize(static_cast<size_t>(ref.index) + 1,
-                                   0);
-            temp_value_[static_cast<size_t>(ref.index)] = value;
-            return value;
-          case OpRef::Kind::MemAddr:
+          case PlanRef::Kind::Unit:
+            unit_value_[static_cast<size_t>(ref.value)] = value;
             break;
+          case PlanRef::Kind::Flags:
+            for (int g = 0; g < 3; ++g)
+                if (ref.value & (1 << g))
+                    unit_value_[static_cast<size_t>(isa::kUnitFlagCf + g)] =
+                        value;
+            break;
+          case PlanRef::Kind::Mem: {
+            auto it = std::find_if(
+                mem_value_.begin(), mem_value_.end(),
+                [&](const auto &entry) { return entry.first == ref.value; });
+            if (it != mem_value_.end())
+                it->second = value;
+            else
+                mem_value_.emplace_back(ref.value, value);
+            break;
+          }
+          case PlanRef::Kind::Temp:
+            temp_value_[static_cast<size_t>(ref.value)] = value;
+            break;
+          case PlanRef::Kind::Narrow:
+          case PlanRef::Kind::LegacySse:
+            panic("bindWrite: a merge is not a destination");
         }
-        panic("applyWrite: unreachable");
+        return value;
     }
 
-    /** Merge-dependency unit for narrow GPR writes / dirty-upper SSE. */
-    int
-    mergeUnit(const InstrInstance &inst, const OpRef &ref) const
+    /** Rename one planned µop: sources and merges read the current
+     *  bindings, then its destinations get fresh values. */
+    UopDyn
+    renameUop(const UopPlan &plan, int32_t idx, bool slow)
     {
-        switch (mergeKind(inst, ref)) {
-          case MergeKind::None:
-            return -1;
-          case MergeKind::Narrow:
-            break;
-          case MergeKind::LegacySse:
-            if (!info_.sse_avx_transition || !dirty_upper_)
-                return -1;
-            break;
-        }
-        return isa::regUnit(inst.regOf(ref.index));
+        UopDyn dyn;
+        dyn.spec = plan.spec;
+        dyn.instr_idx = idx;
+        dyn.slow = slow;
+        dyn.srcs = static_cast<uint32_t>(operands_.size());
+        const PlanRef *ref = refs_ + plan.first;
+        for (int k = 0; k < plan.num_srcs; ++k)
+            operands_.push_back(readValue(*ref++));
+        // Partial-register merges always; legacy-SSE merges while the
+        // upper YMM state is dirty (it never is without the SSE/AVX
+        // transition).
+        for (int k = 0; k < plan.num_merges; ++k, ++ref)
+            if (ref->kind == PlanRef::Kind::Narrow || dirty_upper_)
+                operands_.push_back(
+                    unit_value_[static_cast<size_t>(ref->value)]);
+        dyn.num_srcs = static_cast<uint16_t>(operands_.size() - dyn.srcs);
+        dyn.dsts = static_cast<int32_t>(value_ready_.size());
+        dyn.num_dsts = plan.num_dsts;
+        for (int k = 0; k < plan.num_dsts; ++k)
+            bindWrite(*ref++);
+        return dyn;
     }
 
     // ---- issue -------------------------------------------------------
     /** Generate and enqueue the renamed µops of the next instruction.
-     *  The static decode (µop selection, idiom classification) comes
-     *  precomputed from the template; only the renaming is per-copy. */
+     *  The static decode (µop selection, idiom classification, operand
+     *  resolution) comes precomputed from the template's rename plan;
+     *  only the binding to values is per-copy. */
     void
     renameInstruction(const DecodedInstr &d, int32_t idx)
     {
         activity_ = true;
-        const InstrInstance &inst = *d.inst;
-        const std::vector<UopSpec> &uops = *d.uops;
+        const UopPlan *plans = plans_ + d.plan;
 
         // Move elimination: reg-reg moves handled by the ROB.
         bool eliminated_mov = false;
@@ -351,41 +290,28 @@ class Core
                 unit_value_[d.elim_dst_unit] =
                     unit_value_[d.elim_src_unit];
             } else {
-                // NOP / zero idiom: results ready immediately.
-                for (const auto &u : uops)
-                    for (const auto &w : u.writes)
-                        if (w.kind == OpRef::Kind::Operand) {
-                            int32_t v = applyWrite(inst, w);
-                            value_ready_[v] = 0;
-                        }
+                // NOP / zero idiom: register and flag results are
+                // ready immediately.
+                for (uint32_t i = 0; i < d.num_uops; ++i) {
+                    const UopPlan &plan = plans[i];
+                    const PlanRef *dst = refs_ + plan.first +
+                                         plan.num_srcs + plan.num_merges;
+                    for (int k = 0; k < plan.num_dsts; ++k, ++dst)
+                        if (dst->kind == PlanRef::Kind::Unit ||
+                            dst->kind == PlanRef::Kind::Flags)
+                            value_ready_[bindWrite(*dst)] = 0;
+                }
             }
             instr_uops_left_[static_cast<size_t>(idx)] = 1;
-            pendingPush(std::move(dyn), true);
+            pending_uops_.push_back(dyn);
             return;
         }
 
-        temp_value_.assign(temp_value_.size(), 0);
-        int count = 0;
-        for (const auto &spec : uops) {
-            UopDyn dyn;
-            dyn.spec = &spec;
-            dyn.instr_idx = idx;
-            dyn.slow = d.slow;
-            for (const auto &r : spec.reads)
-                expandReads(inst, r, dyn.srcs, d.skip_unit);
-            // Partial-register / dirty-upper merges add a read of the
-            // written register's previous value.
-            for (const auto &w : spec.writes) {
-                int mu = mergeUnit(inst, w);
-                if (mu >= 0 && mu != d.skip_unit)
-                    dyn.srcs.push_back(unit_value_[mu]);
-            }
-            for (const auto &w : spec.writes)
-                dyn.dsts.push_back(applyWrite(inst, w));
-            pendingPush(std::move(dyn), false);
-            ++count;
-        }
-        instr_uops_left_[static_cast<size_t>(idx)] = count;
+        std::fill(temp_value_.begin(), temp_value_.end(), 0);
+        for (uint32_t i = 0; i < d.num_uops; ++i)
+            pending_uops_.push_back(renameUop(plans[i], idx, d.slow));
+        instr_uops_left_[static_cast<size_t>(idx)] =
+            static_cast<int>(d.num_uops);
 
         // Track the YMM upper state for the SSE/AVX transition model.
         if (info_.sse_avx_transition) {
@@ -397,24 +323,14 @@ class Core
     }
 
     /** Rename a macro-fused pair into a single branch-unit µop; the
-     *  fused spec itself is precomputed by the template. */
+     *  fused plan itself is precomputed by the template. */
     void
-    renameFusedPair(const DecodedInstr &d, const UopSpec &spec,
-                    int32_t idx)
+    renameFusedPair(const UopPlan &plan, int32_t idx)
     {
         activity_ = true;
-        const InstrInstance &prod = *d.inst;
-        UopDyn dyn;
-        dyn.spec = &spec;
-        dyn.instr_idx = idx;
-        for (const auto &r : spec.reads)
-            expandReads(prod, r, dyn.srcs, -1);
-        for (const auto &w : spec.writes)
-            dyn.dsts.push_back(applyWrite(prod, w));
-
+        pending_uops_.push_back(renameUop(plan, idx, false));
         instr_uops_left_[static_cast<size_t>(idx)] = 1;
         instr_uops_left_[static_cast<size_t>(idx) + 1] = 0;
-        pendingPush(std::move(dyn), false);
     }
 
     void
@@ -448,10 +364,9 @@ class Core
                 // immediately following Jcc decode into a single µop.
                 // The eligible pair (and its fused spec) was decided
                 // once at decode time.
-                const UopSpec *fused =
-                    ref.wraps ? d.fused_wrap : d.fused_next;
-                if (fused != nullptr && next_instr_ + 1 < total_) {
-                    renameFusedPair(d, *fused,
+                int32_t fused = ref.wraps ? d.fused_wrap : d.fused_next;
+                if (fused >= 0 && next_instr_ + 1 < total_) {
+                    renameFusedPair(plans_[fused],
                                     static_cast<int32_t>(next_instr_));
                     next_instr_ += 2;
                     continue;
@@ -461,28 +376,27 @@ class Core
                 ++next_instr_;
             }
             while (!pendingEmpty() && issued < info_.issue_width) {
-                bool rename_only =
-                    pending_rename_only_[pending_head_] != 0;
+                UopDyn dyn = pending_uops_[pending_head_];
+                // Rename-stage µops (no spec) never enter the RS.
+                bool rename_only = dyn.spec == nullptr;
                 // Capacity checks.
                 if (rob_.size() - retire_head_ >=
                     static_cast<size_t>(info_.rob_size))
                     return;
                 if (!rename_only && rs_count_ >= info_.rs_size)
                     return;
-                UopDyn dyn = std::move(pending_uops_[pending_head_]);
                 ++pending_head_;
                 if (pendingEmpty()) {
                     pending_uops_.clear();
-                    pending_rename_only_.clear();
                     pending_head_ = 0;
                 }
                 ++issued;
                 activity_ = true;
                 ++counters_.uops_issued;
-                if (rename_only || dyn.spec == nullptr) {
+                if (rename_only) {
                     ++counters_.uops_eliminated;
                     dyn.complete = cycle_;
-                    rob_.push_back(std::move(dyn));
+                    rob_.push_back(dyn);
                     continue;
                 }
                 // Bind to the least-loaded allowed port. Scans the
@@ -497,10 +411,10 @@ class Core
                         best = p;
                 }
                 panicIf(best < 0, "µop with no valid port");
-                dyn.port = static_cast<int16_t>(best);
+                dyn.port = static_cast<int8_t>(best);
                 ++waiting_[best];
                 ++rs_count_;
-                rob_.push_back(std::move(dyn));
+                rob_.push_back(dyn);
                 bound_[static_cast<size_t>(best)].push_back(
                     rob_.size() - 1);
             }
@@ -527,8 +441,9 @@ class Core
                 if (spec.div_occupancy > 0 && div_busy_[p] > cycle_)
                     continue;
                 bool ready = true;
-                for (int32_t s : u.srcs) {
-                    if (effectiveReady(s, spec.domain) > cycle_) {
+                const int32_t *srcs = operands_.data() + u.srcs;
+                for (int k = 0; k < u.num_srcs; ++k) {
+                    if (effectiveReady(srcs[k], spec.domain) > cycle_) {
                         ready = false;
                         break;
                     }
@@ -539,11 +454,11 @@ class Core
                 u.dispatched = true;
                 activity_ = true;
                 int64_t max_done = cycle_ + 1;
-                for (size_t w = 0; w < u.dsts.size(); ++w) {
+                for (size_t w = 0; w < u.num_dsts; ++w) {
                     int lat = spec.writeLatency(w, u.slow);
-                    value_ready_[u.dsts[w]] = cycle_ + lat;
-                    value_domain_[u.dsts[w]] =
-                        static_cast<uint8_t>(spec.domain);
+                    size_t value = static_cast<size_t>(u.dsts) + w;
+                    value_ready_[value] = cycle_ + lat;
+                    value_domain_[value] = static_cast<uint8_t>(spec.domain);
                     max_done = std::max(
                         max_done, cycle_ + static_cast<int64_t>(lat));
                 }
@@ -635,8 +550,9 @@ class Core
                 const UopSpec &spec = *u.spec;
                 if (spec.div_occupancy > 0 && div_busy_[p] > cycle_)
                     next = std::min(next, div_busy_[p]);
-                for (int32_t s : u.srcs) {
-                    int64_t r = effectiveReady(s, spec.domain);
+                const int32_t *srcs = operands_.data() + u.srcs;
+                for (int k = 0; k < u.num_srcs; ++k) {
+                    int64_t r = effectiveReady(srcs[k], spec.domain);
                     if (r > cycle_ && r < kNotReady)
                         next = std::min(next, r);
                 }
@@ -653,6 +569,8 @@ class Core
     const DecodedKernel &decoded_;
     const int body_reps_;
     const size_t total_; ///< virtual stream length
+    const UopPlan *const plans_;
+    const PlanRef *const refs_;
 
     int64_t cycle_ = 0;
     size_t next_instr_ = 0;
@@ -667,9 +585,9 @@ class Core
     std::vector<int32_t> &unit_value_;
     std::vector<std::pair<int, int32_t>> &mem_value_;
     std::vector<int32_t> &temp_value_;
+    std::vector<int32_t> &operands_;
 
     std::vector<UopDyn> &pending_uops_;
-    std::vector<uint8_t> &pending_rename_only_;
     size_t pending_head_ = 0;
     std::vector<UopDyn> &rob_;
     size_t retire_head_ = 0;
@@ -689,13 +607,16 @@ class Core
  * Prefix-free serializer behind Pipeline::appendContextKey and
  * appendBodyKey: integers are zigzag LEB128 varints and every list
  * carries its length, so distinct programs never produce the same
- * bytes. Operand references are written as the core resolves them —
- * rename units, memory tags, temporaries.
+ * bytes. µops are written as their rename plans, the very operands
+ * the core renames from.
  */
 class KeyWriter
 {
   public:
-    explicit KeyWriter(std::string &out) : out_(out) {}
+    KeyWriter(const DecodedKernel &decoded, std::string &out)
+        : decoded_(decoded), out_(out)
+    {
+    }
 
     void
     num(int64_t v)
@@ -709,52 +630,12 @@ class KeyWriter
         out_.push_back(static_cast<char>(z));
     }
 
-    /** Unit of @p r; -1 for an invalid register, so the key never
-     *  panics where the core would not. */
+    /** A µop plan: the spec fields the core reads, then sources,
+     *  merges and destinations. */
     void
-    reg(const Reg &r)
+    uop(const UopPlan &plan)
     {
-        num(r.valid() ? isa::regUnit(r) : -1);
-    }
-
-    /** An OpRef as Core::expandReads / applyWrite resolve it. */
-    void
-    ref(const InstrInstance &inst, const OpRef &r, bool write)
-    {
-        num(static_cast<int64_t>(r.kind));
-        switch (r.kind) {
-          case OpRef::Kind::Operand: {
-            const OperandSpec &op = inst.variant->operand(r.index);
-            num(static_cast<int64_t>(op.kind));
-            if (op.kind == OpKind::Flags) {
-                std::vector<isa::ArchUnit> units =
-                    write ? op.flags_written.units()
-                          : op.flags_read.units();
-                num(static_cast<int64_t>(units.size()));
-                for (isa::ArchUnit u : units)
-                    num(u);
-            } else if (op.kind == OpKind::Reg) {
-                reg(inst.regOf(static_cast<size_t>(r.index)));
-            }
-            return;
-          }
-          case OpRef::Kind::MemAddr:
-            reg(inst.ops[static_cast<size_t>(r.index)].mem.base);
-            return;
-          case OpRef::Kind::MemData:
-            num(inst.ops[static_cast<size_t>(r.index)].mem.tag);
-            return;
-          case OpRef::Kind::Temp:
-            num(r.index);
-            return;
-        }
-    }
-
-    /** A µop spec with its references resolved against @p inst; each
-     *  write also carries its MergeKind. */
-    void
-    uop(const InstrInstance &inst, const UopSpec &spec)
-    {
+        const UopSpec &spec = *plan.spec;
         num(spec.ports);
         num(spec.latency);
         num(spec.latency_slow);
@@ -764,44 +645,45 @@ class KeyWriter
         num(static_cast<int64_t>(spec.write_extra.size()));
         for (int extra : spec.write_extra)
             num(extra);
-        num(static_cast<int64_t>(spec.reads.size()));
-        for (const OpRef &r : spec.reads)
-            ref(inst, r, false);
-        num(static_cast<int64_t>(spec.writes.size()));
-        for (const OpRef &w : spec.writes) {
-            ref(inst, w, true);
-            num(static_cast<int64_t>(mergeKind(inst, w)));
+        num(plan.num_srcs);
+        num(plan.num_merges);
+        num(plan.num_dsts);
+        const PlanRef *ref = decoded_.refs().data() + plan.first;
+        for (int k = 0; k < plan.num_srcs + plan.num_merges + plan.num_dsts;
+             ++k, ++ref) {
+            num(static_cast<int64_t>(ref->kind));
+            num(ref->value);
         }
     }
 
+    /** A fused-pair plan index (-1: none). */
     void
-    fused(const InstrInstance &inst, const UopSpec *spec)
+    fused(int32_t plan)
     {
-        num(spec != nullptr ? 1 : 0);
-        if (spec != nullptr)
-            uop(inst, *spec);
+        num(plan >= 0 ? 1 : 0);
+        if (plan >= 0)
+            uop(decoded_.plans()[static_cast<size_t>(plan)]);
     }
 
     /** One decode entry; @p with_next false leaves out fused_next. */
     void
     entry(const DecodedInstr &d, bool with_next = true)
     {
-        const InstrInstance &inst = *d.inst;
         num((d.rename_direct ? 1 : 0) | (d.try_mov_elim ? 2 : 0) |
             (d.serializing ? 4 : 0) | (d.slow ? 8 : 0));
         num(static_cast<int64_t>(d.ymm_effect));
-        num(d.skip_unit);
         num(d.elim_dst_unit);
         num(d.elim_src_unit);
-        num(static_cast<int64_t>(d.uops->size()));
-        for (const UopSpec &spec : *d.uops)
-            uop(inst, spec);
+        num(d.num_uops);
+        for (uint32_t i = 0; i < d.num_uops; ++i)
+            uop(decoded_.plans()[d.plan + i]);
         if (with_next)
-            fused(inst, d.fused_next);
-        fused(inst, d.fused_wrap);
+            fused(d.fused_next);
+        fused(d.fused_wrap);
     }
 
   private:
+    const DecodedKernel &decoded_;
     std::string &out_;
 };
 
@@ -841,7 +723,7 @@ void
 Pipeline::appendContextKey(const DecodedKernel &decoded,
                            std::string &out) const
 {
-    KeyWriter key(out);
+    KeyWriter key(decoded, out);
     // The machine model: every UArchInfo field Core reads (the rest
     // — fusion, zero-idiom elimination — is already folded into the
     // decode entries).
@@ -870,15 +752,14 @@ Pipeline::appendContextKey(const DecodedKernel &decoded,
 void
 Pipeline::appendBodyKey(const DecodedKernel &decoded, std::string &out)
 {
-    KeyWriter key(out);
+    KeyWriter key(decoded, out);
     const std::vector<DecodedInstr> &pattern = decoded.pattern();
     const size_t prologue = decoded.prologueSize();
     key.num(static_cast<int64_t>(decoded.bodySize()));
     for (size_t i = prologue; i < prologue + decoded.bodySize(); ++i)
         key.entry(pattern[i]);
     if (prologue > 0)
-        key.fused(*pattern[prologue - 1].inst,
-                  pattern[prologue - 1].fused_next);
+        key.fused(pattern[prologue - 1].fused_next);
 }
 
 } // namespace uops::sim

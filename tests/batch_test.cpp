@@ -251,6 +251,37 @@ TEST(BatchSweep, SinkObservesWorkListOrderUnderThreading)
         }
 }
 
+TEST(BatchSweep, ConcurrentMissesSimulateEachProgramOnce)
+{
+    // The shared memo's misses are single-flight: however the workers
+    // interleave, each distinct µop program is simulated once. Skylake,
+    // Kaby Lake and Coffee Lake share a machine model, so their
+    // workers race for the same keys.
+    const std::vector<uarch::UArch> arches = {
+        uarch::UArch::Nehalem, uarch::UArch::Skylake,
+        uarch::UArch::KabyLake, uarch::UArch::CoffeeLake};
+    auto sweep = [&](size_t threads) {
+        core::BatchOptions options;
+        options.num_threads = threads;
+        options.characterizer.filter = [](const isa::InstrVariant &v) {
+            return v.id() % 64 == 0; // uopsq characterize --mod 64
+        };
+        core::SweepMemoTotals before = core::sweepMemoTotals();
+        core::runBatchSweep(defaultDb(), arches, options);
+        core::SweepMemoTotals after = core::sweepMemoTotals();
+        return core::SweepMemoTotals{after.hits - before.hits,
+                                     after.misses - before.misses,
+                                     after.entries - before.entries};
+    };
+    core::SweepMemoTotals one = sweep(1);
+    core::SweepMemoTotals four = sweep(4);
+    EXPECT_GT(one.misses, 0u);
+    EXPECT_EQ(one.misses, one.entries);
+    EXPECT_EQ(four.misses, four.entries);
+    EXPECT_EQ(four.misses, one.misses);
+    EXPECT_EQ(four.hits, one.hits);
+}
+
 TEST(BatchSweep, KeepResultsFalseRequiresSink)
 {
     core::BatchOptions options = sliceOptions(1);

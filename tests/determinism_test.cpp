@@ -166,6 +166,9 @@ TEST(Determinism, SharedCacheIsThreadSafeAndExact)
                                     results[i],
                                     "task " + std::to_string(i));
     EXPECT_EQ(cache.size(), 2u);
+    // Single-flight: concurrent misses of one key simulate it once.
+    EXPECT_EQ(cache.misses(), 2u);
+    EXPECT_EQ(cache.hits(), results.size() - 2);
 }
 
 // ---------------------------------------------------------------------
@@ -393,6 +396,128 @@ TEST(Determinism, ScratchArenaReuseReproducesFreshPipeline)
                             listing);
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Golden RunResults.
+// ---------------------------------------------------------------------
+
+/** One golden kernel body; @c slow marks its dividers slow-valued. */
+struct GoldenBody
+{
+    const char *listing;
+    bool slow = false;
+};
+
+/** Every operand shape the rename stage resolves, in bodies run behind
+ *  a prologue whose last CMP fuses into the body's first JZ and in
+ *  front of an epilogue whose first JNZ fuses with the body's last
+ *  CMP. */
+const GoldenBody kGoldenBodies[] = {
+    // µops with five sources: two registers, CL and two flag groups.
+    {"SHLD RAX, RBX\nSHRD RDX, RSI"},
+    // Reads and writes of one, two and three flag groups.
+    {"ADC RAX, RBX\nCMOVBE RCX, RDX\nLAHF\nSAHF\nINC RSI\nCMC\n"
+     "SETBE DL"},
+    // CMP/JCC fused across the copy wrap and into the epilogue; ALU
+    // fusion on Sandy Bridge and later.
+    {"JZ 1\nCMP RAX, RBX"},
+    {"ADD RAX, RBX\nJNZ 1\nIMUL RCX, RAX\nCMP RCX, RDX"},
+    // Eliminated moves and flag-writing zero idioms.
+    {"MOV RAX, RBX\nMOV RBX, RAX\nXOR RCX, RCX\nSUB RDX, RDX\n"
+     "ADC RCX, RDX\nMOVAPS XMM1, XMM2\nMOVAPS XMM2, XMM1\n"
+     "PXOR XMM3, XMM3\nPADDD XMM3, XMM1"},
+    // Partial-register writes merging with the old value.
+    {"IMUL RAX, R9\nMOV AL, BL\nADC AX, CX\nSETBE AL\nLAHF"},
+    // Slow and fast divider values.
+    {"DIV RBX\nIMUL RCX, RAX", true},
+    {"DIV RBX\nIMUL RCX, RAX"},
+    // Dirty-upper SSE merges, then a clean upper state.
+    {"VADDPS YMM0, YMM1, YMM2\nSQRTPS XMM3, XMM4\nADDPS XMM3, XMM5"},
+    {"VZEROUPPER\nSQRTPS XMM3, XMM4\nVADDPS YMM0, YMM1, YMM2"},
+    // Temporaries: memory read-modify-write and load-op forms.
+    {"ADD [RBX], RAX\nADD RCX, [RBX]\nXOR R8, [RBX]\nSHLD RAX, RBX, 3"},
+    // The implicit stack tag -1 and the largest displacement.
+    {"PUSH RAX\nPOP RCX\nMOV [RSI+1048576], RBX\n"
+     "MOV RDX, [RSI+1048576]\nMOV R8, [RSI+1048575]"},
+};
+
+uint64_t
+fnv1a(uint64_t h, int64_t v)
+{
+    for (int i = 0; i < 8; ++i) {
+        h ^= static_cast<uint64_t>(v >> (8 * i)) & 0xff;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+uint64_t
+digestCounters(uint64_t h, const sim::PerfCounters &c)
+{
+    h = fnv1a(h, c.cycles);
+    for (int64_t u : c.port_uops)
+        h = fnv1a(h, u);
+    h = fnv1a(h, c.uops_issued);
+    h = fnv1a(h, c.uops_eliminated);
+    return fnv1a(h, c.instrs_retired);
+}
+
+/** Digest of cycles, final counters and marker snapshots of every
+ *  golden body @p arch supports, at 1, 2 and 10 body copies. */
+uint64_t
+goldenDigest(UArch arch)
+{
+    const auto &tdb = timingDb(arch);
+    const uarch::UArchInfo &info = uarch::uarchInfo(arch);
+    sim::Pipeline pipeline(tdb);
+    auto prologue = asm_("MOV RAX, 7\nCPUID\nRDTSC\nCPUID\nCMP RSI, RDI");
+    auto epilogue = asm_("JNZ 2\nCPUID\nRDTSC\nCPUID");
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (const GoldenBody &golden : kGoldenBodies) {
+        isa::Kernel body = asm_(golden.listing);
+        bool supported = true;
+        for (isa::InstrInstance &inst : body) {
+            supported &= info.hasExtension(inst.variant->extension());
+            if (golden.slow && inst.variant->attrs().uses_divider)
+                inst.div_class = isa::DivValueClass::Slow;
+        }
+        if (!supported)
+            continue;
+        sim::DecodedKernel decoded(tdb, prologue, body, epilogue);
+        for (int n : {1, 2, 10}) {
+            std::vector<size_t> markers = {
+                2, prologue.size() + body.size() * n + 2};
+            sim::RunResult r = pipeline.run(decoded, n, markers);
+            h = fnv1a(h, r.cycles);
+            h = digestCounters(h, r.final);
+            for (const sim::PerfCounters &s : r.snapshots)
+                h = digestCounters(h, s);
+        }
+    }
+    return h;
+}
+
+TEST(Determinism, GoldenRunResultsArePinned)
+{
+    // Recorded before the rename plans and the pooled µop operands
+    // replaced per-copy operand resolution; any drift is a change of
+    // simulated behaviour, not of speed.
+    const std::pair<UArch, uint64_t> golden[] = {
+        {UArch::Nehalem, 0xe8d0483bb922b738ull},
+        {UArch::Westmere, 0xe8d0483bb922b738ull},
+        {UArch::SandyBridge, 0xa16cbaaa7a8196ddull},
+        {UArch::IvyBridge, 0x1b532c3e537244bbull},
+        {UArch::Haswell, 0x89b9074d19dc8b0bull},
+        {UArch::Broadwell, 0xa78be9f309e2a449ull},
+        {UArch::Skylake, 0x5a4eb599d49a4518ull},
+        {UArch::KabyLake, 0x5a4eb599d49a4518ull},
+        {UArch::CoffeeLake, 0x5a4eb599d49a4518ull},
+    };
+    for (const auto &[arch, expected] : golden)
+        EXPECT_EQ(goldenDigest(arch), expected)
+            << uarch::uarchShortName(arch) << " digest 0x" << std::hex
+            << goldenDigest(arch);
 }
 
 TEST(Determinism, IdleCycleSkippingIsCycleExact)

@@ -5,9 +5,41 @@
  * flags, and the SSE/AVX transition model.
  */
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
 #include <gtest/gtest.h>
 
 #include "test_util.h"
+
+namespace {
+
+/** Global operator new calls so far (SimAllocations below). */
+std::atomic<uint64_t> g_allocations{0};
+
+} // namespace
+
+void *
+operator new(std::size_t size)
+{
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(size != 0 ? size : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 namespace uops::test {
 namespace {
@@ -317,6 +349,36 @@ TEST(SimSseAvx, DirtyUpperCreatesMergeDependency)
                         "ADDPS XMM7, XMM6";
     auto m2 = measure(UArch::Skylake, clean);
     EXPECT_LT(m2.cycles, 5.0);
+}
+
+// ---------------------------------------------------------------------
+// Allocation-free steady state.
+// ---------------------------------------------------------------------
+
+TEST(SimAllocations, WarmRunsAllocateIndependentlyOfUopsIssued)
+{
+    // Operand shapes that used to allocate per renamed µop: expanded
+    // flag groups, five-source µops, merges, memory and stack tags,
+    // temporaries, fused pairs and eliminated moves.
+    const auto &tdb = timingDb(UArch::Skylake);
+    auto wrapper = asm_("CPUID\nRDTSC\nCPUID");
+    auto body = asm_("SHLD RAX, RBX\nADC RCX, RDX\nLAHF\nSETBE DL\n"
+                     "CMP RCX, RSI\nJNZ 1\nMOV R8, R9\nADD [RBX], RAX\n"
+                     "PUSH RAX\nPOP RDI\nVADDPS YMM0, YMM1, YMM2\n"
+                     "SQRTPS XMM3, XMM4\nDIV R10");
+    sim::DecodedKernel decoded(tdb, wrapper, body, wrapper);
+    sim::Pipeline pipeline(tdb);
+    auto allocations = [&](int n) {
+        std::vector<size_t> markers = {1, 3 + body.size() * n + 1};
+        uint64_t before = g_allocations.load();
+        sim::RunResult result = pipeline.run(decoded, n, markers);
+        uint64_t after = g_allocations.load();
+        EXPECT_GT(result.final.uops_issued, 10 * n);
+        return after - before;
+    };
+    // Warm the scratch arena up to the larger run's size.
+    (void)allocations(110);
+    EXPECT_EQ(allocations(10), allocations(110));
 }
 
 // ---------------------------------------------------------------------
