@@ -4,7 +4,8 @@
  * (admission -> assemble -> cycle-level simulation -> static analysis
  * -> JSON render), a memoized request (same kernel fingerprint, the
  * stored response replayed byte-identically), and concurrent clients
- * batched onto the engine's worker pool.
+ * that simulate on their own threads, at most the engine's seat count
+ * at once.
  *
  * All three drive QueryService::handle() with POST requests — POSTs
  * bypass the outer response cache, so `predict_cold` measures the

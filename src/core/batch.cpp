@@ -150,6 +150,7 @@ registerSweepInstruments(obs::Registry &registry,
 std::atomic<uint64_t> g_memo_hits{0};
 std::atomic<uint64_t> g_memo_misses{0};
 std::atomic<uint64_t> g_memo_entries{0};
+std::atomic<uint64_t> g_memo_waits{0};
 
 /** Export the process-wide memo totals (once per process). */
 void
@@ -166,6 +167,11 @@ registerMemoCounters()
             "uops_sweep_memo_misses_total",
             "Sweep measurements simulated (memo misses)", {},
             [] { return static_cast<double>(g_memo_misses.load()); });
+        registry.counterCallback(
+            "uops_sweep_memo_waits_total",
+            "Sweep measurements that waited for another worker's "
+            "simulation of the same program",
+            {}, [] { return static_cast<double>(g_memo_waits.load()); });
     });
 }
 
@@ -182,6 +188,7 @@ struct MemoTally
         g_memo_hits.fetch_add(cache->hits());
         g_memo_misses.fetch_add(cache->misses());
         g_memo_entries.fetch_add(cache->size());
+        g_memo_waits.fetch_add(cache->waits());
     }
 };
 
@@ -191,7 +198,7 @@ SweepMemoTotals
 sweepMemoTotals()
 {
     return {g_memo_hits.load(), g_memo_misses.load(),
-            g_memo_entries.load()};
+            g_memo_entries.load(), g_memo_waits.load()};
 }
 
 CharacterizationReport

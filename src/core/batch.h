@@ -170,18 +170,20 @@ struct CharacterizationReport
 /**
  * Measurement-memo totals of every sweep this process has finished:
  * lookups served from the shared cache, misses — the simulations run
- * — and the measurements each sweep's cache held at its end, which
- * equal the misses because misses are single-flight
- * (sim::MeasurementCache). obs::Registry::global() exports hits and
- * misses as the uops_sweep_memo_hits_total and
- * uops_sweep_memo_misses_total counters once the first sweep has
- * started.
+ * — lookups that waited for another worker's simulation of the same
+ * key, and the measurements each sweep's cache held at its end,
+ * which equal the misses because misses are single-flight
+ * (sim::MeasurementCache). obs::Registry::global() exports hits,
+ * misses and waits as the uops_sweep_memo_hits_total,
+ * uops_sweep_memo_misses_total and uops_sweep_memo_waits_total
+ * counters once the first sweep has started.
  */
 struct SweepMemoTotals
 {
     uint64_t hits = 0;
     uint64_t misses = 0;
     uint64_t entries = 0;
+    uint64_t waits = 0;
 };
 
 SweepMemoTotals sweepMemoTotals();

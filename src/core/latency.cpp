@@ -226,7 +226,7 @@ class ChainBuilder
     {
         Reg d = dst, s = src;
         // Adapt the register class to the instrument's operand class.
-        auto expl = variant.explicitOperands();
+        const auto &expl = variant.explicitOperands();
         d.cls = variant.operand(expl[0]).reg_class;
         bool has_imm = false;
         for (int e : expl)
@@ -378,7 +378,7 @@ LatencyAnalyzer::analyze(const InstrVariant &variant) const
                 // Load from I's store location back into I's source.
                 MemLoc loc = inst.ops[static_cast<size_t>(d)].mem;
                 Reg dst_reg = b.reg(s);
-                auto expl = load->explicitOperands();
+                const auto &expl = load->explicitOperands();
                 dst_reg.cls = load->operand(expl[0]).reg_class;
                 Kernel body;
                 body.push_back(inst);
@@ -484,7 +484,7 @@ LatencyAnalyzer::analyze(const InstrVariant &variant) const
                     plans.push_back(std::move(plan));
                 } else if (ds == Storage::Vec || ds == Storage::Mmx) {
                     for (const InstrVariant *tg : ci_.to_gpr) {
-                        auto expl = tg->explicitOperands();
+                        const auto &expl = tg->explicitOperands();
                         RegClass src_cls =
                             tg->operand(expl[1]).reg_class;
                         bool mmx = src_cls == RegClass::Mmx;
@@ -575,7 +575,7 @@ LatencyAnalyzer::analyze(const InstrVariant &variant) const
                 // Cross-class register pairs: compositions with the
                 // transfer instruments (upper bounds).
                 auto add_transfer = [&](const InstrVariant *tv) {
-                    auto expl = tv->explicitOperands();
+                    const auto &expl = tv->explicitOperands();
                     RegClass dst_cls = tv->operand(expl[0]).reg_class;
                     RegClass src_cls = tv->operand(expl[1]).reg_class;
                     // The transfer must read the pair's dst storage
@@ -652,7 +652,7 @@ LatencyAnalyzer::analyze(const InstrVariant &variant) const
     // Same-register microbenchmark (5.2.1).
     // ------------------------------------------------------------------
     {
-        auto expl = variant.explicitOperands();
+        const auto &expl = variant.explicitOperands();
         if (expl.size() >= 2) {
             const OperandSpec &a = variant.operand(expl[0]);
             const OperandSpec &c = variant.operand(expl[1]);

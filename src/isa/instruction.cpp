@@ -81,6 +81,9 @@ InstrVariant::InstrVariant(int id, std::string mnemonic,
       attrs_(attrs)
 {
     name_ = makeVariantName(mnemonic_, operands_);
+    for (size_t i = 0; i < operands_.size(); ++i)
+        if (!operands_[i].implicit && operands_[i].kind != OpKind::Flags)
+            explicit_.push_back(static_cast<int>(i));
 }
 
 std::vector<int>
@@ -108,16 +111,6 @@ InstrVariant::destOperands() const
         if (writes)
             out.push_back(static_cast<int>(i));
     }
-    return out;
-}
-
-std::vector<int>
-InstrVariant::explicitOperands() const
-{
-    std::vector<int> out;
-    for (size_t i = 0; i < operands_.size(); ++i)
-        if (!operands_[i].implicit && operands_[i].kind != OpKind::Flags)
-            out.push_back(static_cast<int>(i));
     return out;
 }
 
@@ -170,7 +163,7 @@ std::string
 InstrVariant::syntaxTemplate() const
 {
     std::string out = mnemonic_;
-    auto expl = explicitOperands();
+    const auto &expl = explicitOperands();
     for (size_t i = 0; i < expl.size(); ++i) {
         out += (i == 0) ? " " : ", ";
         out += "%" + std::to_string(i);

@@ -2,13 +2,55 @@
 
 namespace uops::server {
 
+class PredictEngine::SeatLease
+{
+  public:
+    explicit SeatLease(PredictEngine &engine) : engine_(engine)
+    {
+        std::unique_lock<std::mutex> lock(engine_.mutex_);
+        const size_t max_inflight = engine_.options_.max_inflight;
+        if (engine_.inflight_ >= max_inflight) {
+            engine_.rejected_.fetch_add(1, std::memory_order_relaxed);
+            throw PredictOverloaded(
+                "prediction queue is full (" +
+                    std::to_string(max_inflight) +
+                    " requests in flight); retry shortly",
+                max_inflight);
+        }
+        ++engine_.inflight_;
+        engine_.seat_freed_.wait(
+            lock, [this] { return !engine_.free_seats_.empty(); });
+        seat_ = engine_.free_seats_.back();
+        engine_.free_seats_.pop_back();
+    }
+
+    ~SeatLease()
+    {
+        {
+            std::lock_guard<std::mutex> lock(engine_.mutex_);
+            engine_.free_seats_.push_back(seat_);
+            --engine_.inflight_;
+        }
+        engine_.seat_freed_.notify_one();
+    }
+
+    SeatLease(const SeatLease &) = delete;
+    SeatLease &operator=(const SeatLease &) = delete;
+
+    Seat &seat() { return *seat_; }
+
+  private:
+    PredictEngine &engine_;
+    Seat *seat_ = nullptr;
+};
+
 PredictEngine::PredictEngine(const isa::InstrDb &instrs,
                              Options options)
     : instrs_(instrs), options_(options),
-      sim_cache_(options.sim_cache_shards),
-      pool_(std::max<size_t>(1, options.num_threads))
+      seats_(std::max<size_t>(1, options.num_threads))
 {
-    worker_states_.resize(pool_.numWorkers());
+    for (Seat &seat : seats_)
+        free_seats_.push_back(&seat);
 }
 
 PredictEngine::~PredictEngine() = default;
@@ -17,79 +59,26 @@ std::string
 PredictEngine::fingerprint(uarch::UArch arch,
                            const isa::Kernel &body) const
 {
-    return sim::BlockPredictor::fingerprint(
-        arch, body, options_.predict.harness);
-}
-
-sim::Measurement
-PredictEngine::runOnWorker(size_t worker, uarch::UArch arch,
-                           const isa::Kernel &body)
-{
-    auto &states = worker_states_[worker];
-    auto it = states.find(arch);
-    if (it == states.end()) {
-        auto predictor = std::make_unique<sim::BlockPredictor>(
-            instrs_, arch, options_.predict);
-        predictor->setCache(&sim_cache_);
-        it = states.emplace(arch, std::move(predictor)).first;
-    }
-    sim::Measurement m = it->second->predict(body);
-    simulations_.fetch_add(1, std::memory_order_relaxed);
-    return m;
+    std::string key = uarch::uarchShortName(arch);
+    key += '\0';
+    key += sim::MeasurementCache::fingerprint(body,
+                                              options_.predict.harness);
+    return key;
 }
 
 sim::Measurement
 PredictEngine::simulate(uarch::UArch arch, const isa::Kernel &body)
 {
-    std::string key = fingerprint(arch, body);
-
-    std::shared_ptr<Job> owned;    // set when we started this job
-    std::shared_future<sim::Measurement> future;
-    {
-        std::lock_guard<std::mutex> lock(jobs_mutex_);
-        auto it = jobs_.find(key);
-        if (it != jobs_.end()) {
-            coalesced_.fetch_add(1, std::memory_order_relaxed);
-            future = it->second->future;
-        } else {
-            if (inflight_ >= options_.max_inflight) {
-                rejected_.fetch_add(1, std::memory_order_relaxed);
-                throw PredictOverloaded(
-                    "prediction queue is full (" +
-                        std::to_string(options_.max_inflight) +
-                        " kernels in flight); retry shortly",
-                    options_.max_inflight);
-            }
-            owned = std::make_shared<Job>();
-            owned->future = owned->promise.get_future().share();
-            jobs_.emplace(key, owned);
-            ++inflight_;
-            future = owned->future;
-        }
+    SeatLease lease(*this);
+    std::unique_ptr<sim::BlockPredictor> &predictor = lease.seat()[arch];
+    if (!predictor) {
+        predictor = std::make_unique<sim::BlockPredictor>(
+            instrs_, arch, options_.predict);
+        predictor->setCache(&sim_cache_);
     }
-
-    if (owned) {
-        pool_.submit([this, owned, key, arch, body](size_t worker) {
-            // Everything — including validation FatalErrors and
-            // budget overruns — flows to the waiters through the
-            // promise; the pool's own error channel stays clean.
-            try {
-                owned->promise.set_value(
-                    runOnWorker(worker, arch, body));
-            } catch (...) {
-                owned->promise.set_exception(
-                    std::current_exception());
-            }
-            // Deregister only after the result is published: a
-            // submission that finds the job still listed blocks on a
-            // future that is already (or imminently) ready.
-            std::lock_guard<std::mutex> lock(jobs_mutex_);
-            jobs_.erase(key);
-            --inflight_;
-        });
-    }
-
-    return future.get();   // rethrows the simulation's exception
+    sim::Measurement m = predictor->predict(body);
+    simulations_.fetch_add(1, std::memory_order_relaxed);
+    return m;
 }
 
 PredictEngine::Stats
@@ -97,16 +86,16 @@ PredictEngine::stats() const
 {
     Stats out;
     out.simulations = simulations_.load(std::memory_order_relaxed);
-    out.coalesced = coalesced_.load(std::memory_order_relaxed);
+    out.coalesced = sim_cache_.waits();
     out.rejected = rejected_.load(std::memory_order_relaxed);
     out.sim_cache_hits = sim_cache_.hits();
     out.sim_cache_misses = sim_cache_.misses();
     out.sim_cache_entries = sim_cache_.size();
     {
-        std::lock_guard<std::mutex> lock(jobs_mutex_);
+        std::lock_guard<std::mutex> lock(mutex_);
         out.inflight = inflight_;
     }
-    out.workers = pool_.numWorkers();
+    out.workers = seats_.size();
     return out;
 }
 

@@ -1,60 +1,52 @@
 /**
  * @file
- * Concurrency gateway between HTTP workers and the kernel simulator.
+ * Admission and simulator ownership for /predict.
  *
  * /predict is the one endpoint whose cost is set by the *client*: a
- * kernel simulation runs for micro- to milliseconds of CPU, so
- * running it inline on HTTP threads would let a burst of expensive
- * kernels occupy every connection slot. The engine decouples the two
- * pools: HTTP workers submit kernels here and block only on a
- * future, while a small dedicated ThreadPool (support/thread_pool.h)
- * executes the simulations.
+ * kernel simulation runs for micro- to milliseconds of CPU. The
+ * engine runs each simulation on the calling (HTTP) thread and
+ * bounds how much of that work may run or wait at once:
  *
- * Three production concerns live here:
- *
- *  - batching/coalescing: requests are single-flighted by exact
- *    kernel fingerprint — concurrent identical submissions share one
- *    simulation and all wake on its result (a thundering herd of one
- *    hot kernel costs one simulator run);
- *  - admission: at most max_inflight *distinct* kernels may be
- *    queued or running; beyond that submissions fail fast with
- *    PredictOverloaded (the service's 429) instead of growing an
- *    unbounded queue;
- *  - isolation: simulator state (BlockPredictor: timing synthesis +
- *    pipeline scratch) is per (worker, uarch), created lazily and
- *    touched only by its owning worker — the pool's worker index is
- *    the whole synchronization story. Completed measurements are
- *    memoized in one MeasurementCache shared by every worker and
- *    uarch (its program keys carry the machine model), so repeat
- *    kernels after the single-flight window closes — and kernels
- *    that decode to a program already simulated on any identically
- *    modeled uarch — still skip the simulator. Timing is
- *    catalog-independent, so the cache survives generation
+ *  - admission: at most max_inflight requests may be waiting for or
+ *    holding a seat; beyond that simulate() fails fast with
+ *    PredictOverloaded (the service's 429) instead of queueing
+ *    without bound;
+ *  - seats: at most num_threads simulations run at once. A caller
+ *    waits for a free seat; the seat owns the simulator state
+ *    (BlockPredictor: timing synthesis + pipeline scratch, one per
+ *    uarch, built lazily), which only the seat's current holder
+ *    touches. Handing a seat over under the engine mutex is
+ *    the whole synchronization story for that state;
+ *  - one memo: every seat measures through one MeasurementCache
+ *    shared by all seats and uarches (its program keys carry the
+ *    machine model). Its misses are single-flight, so concurrent
+ *    identical kernels share one simulator run, and repeat kernels —
+ *    or kernels that decode to a program already simulated on any
+ *    identically modeled uarch — skip the simulator. Timing is
+ *    catalog-independent, so the memo survives generation
  *    hot-swaps.
  *
  * Exceptions from a simulation (validation FatalError, budget
- * overrun) propagate through the shared future to every coalesced
- * waiter; they never reach the pool's own error channel.
+ * overrun) propagate to the caller; the seat and the admission slot
+ * are released on every path.
  */
 
 #ifndef UOPS_SERVER_PREDICT_ENGINE_H
 #define UOPS_SERVER_PREDICT_ENGINE_H
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
-#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "isa/kernel.h"
 #include "sim/block_predict.h"
 #include "sim/measurement_cache.h"
 #include "support/status.h"
-#include "support/thread_pool.h"
 #include "uarch/uarch.h"
 
 namespace uops::server {
@@ -79,33 +71,31 @@ class PredictEngine
   public:
     struct Options
     {
-        /** Simulation workers (kept small on purpose: simulations
-         *  are CPU-bound; HTTP concurrency lives elsewhere). */
+        /** Simulations running at once (seats). Kept small on
+         *  purpose: simulations are CPU-bound. */
         size_t num_threads = 2;
 
-        /** Distinct kernels queued or running before submissions
-         *  are rejected with PredictOverloaded. */
+        /** Requests admitted (waiting for or holding a seat) before
+         *  simulate() rejects with PredictOverloaded. */
         size_t max_inflight = 64;
 
         /** Per-simulation policy (harness config, cycle budget). */
         sim::BlockPredictOptions predict;
-
-        /** Shards of the measurement memo. */
-        size_t sim_cache_shards = 16;
     };
 
     /** Point-in-time engine counters. */
     struct Stats
     {
-        uint64_t simulations = 0;   ///< simulator runs completed
-        uint64_t coalesced = 0;     ///< submissions served by joining
-                                    ///< an in-flight simulation
+        uint64_t simulations = 0;   ///< predictions completed (memo
+                                    ///< hits included)
+        uint64_t coalesced = 0;     ///< predictions that waited for an
+                                    ///< identical in-flight simulation
         uint64_t rejected = 0;      ///< PredictOverloaded throws
         uint64_t sim_cache_hits = 0;
         uint64_t sim_cache_misses = 0;
         size_t sim_cache_entries = 0;
-        size_t inflight = 0;
-        size_t workers = 0;
+        size_t inflight = 0;        ///< admitted requests
+        size_t workers = 0;         ///< seats
     };
 
     PredictEngine(const isa::InstrDb &instrs, Options options);
@@ -115,8 +105,8 @@ class PredictEngine
     PredictEngine &operator=(const PredictEngine &) = delete;
 
     /**
-     * Simulate @p body on @p arch, waiting for the result. Coalesces
-     * with any in-flight identical submission.
+     * Simulate @p body on @p arch on the calling thread, once a seat
+     * is free. Identical concurrent kernels share one simulation.
      *
      * @throws PredictOverloaded     at the admission bound;
      * @throws sim::CycleBudgetExceeded past the cycle budget;
@@ -125,7 +115,12 @@ class PredictEngine
     sim::Measurement simulate(uarch::UArch arch,
                               const isa::Kernel &body);
 
-    /** Memo key of (arch, body) under this engine's options. */
+    /**
+     * Canonical request key for (arch, body) under this engine's
+     * options: the uarch short name prefixed to the exact
+     * MeasurementCache::fingerprint. Two requests get the same key
+     * iff they decode to byte-identical simulations.
+     */
     std::string fingerprint(uarch::UArch arch,
                             const isa::Kernel &body) const;
 
@@ -134,40 +129,29 @@ class PredictEngine
     Stats stats() const;
 
   private:
-    /** One single-flighted simulation; waiters share the future. */
-    struct Job
-    {
-        std::promise<sim::Measurement> promise;
-        std::shared_future<sim::Measurement> future;
-    };
+    /** Simulators of one seat, built lazily per uarch. */
+    using Seat =
+        std::map<uarch::UArch, std::unique_ptr<sim::BlockPredictor>>;
 
-    sim::Measurement runOnWorker(size_t worker, uarch::UArch arch,
-                                 const isa::Kernel &body);
+    /** Admits the caller and waits for a seat; gives both back when
+     *  destroyed. */
+    class SeatLease;
 
     const isa::InstrDb &instrs_;
     Options options_;
 
-    /** Measurement memo shared by all workers and uarches
-     *  (lock-sharded internally). */
+    /** Measurement memo shared by all seats and uarches. */
     sim::MeasurementCache sim_cache_;
 
-    /** Lazily-built simulators, indexed [worker][uarch]; each map is
-     *  owned by exactly one pool worker. */
-    std::vector<
-        std::map<uarch::UArch, std::unique_ptr<sim::BlockPredictor>>>
-        worker_states_;
+    std::vector<Seat> seats_;
 
-    mutable std::mutex jobs_mutex_;
-    std::unordered_map<std::string, std::shared_ptr<Job>> jobs_;
+    mutable std::mutex mutex_;
+    std::condition_variable seat_freed_;
+    std::vector<Seat *> free_seats_;
     size_t inflight_ = 0;
 
     std::atomic<uint64_t> simulations_{0};
-    std::atomic<uint64_t> coalesced_{0};
     std::atomic<uint64_t> rejected_{0};
-
-    /** Declared last: destruction joins the workers while every
-     *  member they touch is still alive. */
-    ThreadPool pool_;
 };
 
 } // namespace uops::server

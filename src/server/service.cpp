@@ -14,6 +14,14 @@ namespace uops::server {
 
 namespace {
 
+/** GET response cache: shards x LRU entries per shard. */
+constexpr size_t kCacheShards = 8;
+constexpr size_t kCacheCapacityPerShard = 512;
+
+/** Kernel memo (fingerprint-keyed /predict responses). */
+constexpr size_t kMemoShards = 8;
+constexpr size_t kMemoCapacityPerShard = 1024;
+
 std::optional<uarch::UArch>
 parseArchParam(const HttpRequest &request, const std::string &key)
 {
@@ -80,9 +88,8 @@ errorResponse(int status, const std::string &message)
 QueryService::QueryService(CatalogPtr catalog,
                            const isa::InstrDb &instrs, Options options)
     : instrs_(instrs), options_(options),
-      cache_(options.cache_shards, options.cache_capacity_per_shard),
-      kernel_memo_(options.memo_shards,
-                   options.memo_capacity_per_shard),
+      cache_(kCacheShards, kCacheCapacityPerShard),
+      kernel_memo_(kMemoShards, kMemoCapacityPerShard),
       engine_(instrs, options.engine)
 {
     fatalIf(catalog == nullptr, "QueryService: null catalog");
@@ -223,13 +230,16 @@ QueryService::registerInstruments()
         });
     };
     engine_counter("uops_engine_simulations_total",
-                   "Kernel simulations executed",
+                   "Kernel predictions the engine completed, "
+                   "simulation-memo hits included",
                    &PredictEngine::Stats::simulations);
     engine_counter("uops_engine_coalesced_total",
-                   "Requests coalesced onto an in-flight simulation",
+                   "Kernel predictions that waited for an identical "
+                   "simulation already running",
                    &PredictEngine::Stats::coalesced);
     engine_counter("uops_engine_rejected_total",
-                   "Simulations rejected at the engine queue",
+                   "Predictions rejected at the engine's in-flight "
+                   "bound",
                    &PredictEngine::Stats::rejected);
     engine_counter("uops_engine_sim_cache_hits_total",
                    "Simulation memo hits",
@@ -240,9 +250,11 @@ QueryService::registerInstruments()
     engine_gauge("uops_engine_sim_cache_entries",
                  "Simulation memo entries resident",
                  &PredictEngine::Stats::sim_cache_entries);
-    engine_gauge("uops_engine_inflight", "Simulations in flight",
+    engine_gauge("uops_engine_inflight",
+                 "Predictions admitted (waiting for or holding a seat)",
                  &PredictEngine::Stats::inflight);
-    engine_gauge("uops_engine_workers", "Engine worker threads",
+    engine_gauge("uops_engine_workers",
+                 "Engine seats (simulations that may run at once)",
                  &PredictEngine::Stats::workers);
 }
 

@@ -51,10 +51,11 @@
  * /predict is the compute endpoint: kernels are parsed with
  * isa::assemble, admission-checked (instruction count, listing size
  * -> 413; simulated-cycle budget, engine queue -> 429, all with
- * structured JSON bodies), simulated on a dedicated PredictEngine
- * thread pool, and memoized in a second response cache keyed by the
- * exact sim::MeasurementCache kernel fingerprint — so GET, POST and
- * whitespace-variant spellings of one kernel share a single entry,
+ * structured JSON bodies), simulated on the request's own thread
+ * once a PredictEngine seat is free, and memoized in a second
+ * response cache keyed by the exact kernel fingerprint — so GET,
+ * POST and whitespace-variant spellings of one kernel share a single
+ * entry,
  * and memoized responses are byte-identical to cold ones. Like the
  * GET response cache, the memo is epoch-keyed (the static-analysis
  * half of the body depends on the serving generation); the engine's
@@ -178,16 +179,10 @@ class QueryService
 
     struct Options
     {
-        size_t cache_shards = 8;
-        size_t cache_capacity_per_shard = 512;
-
-        /** Kernel-memo (fingerprint-keyed /predict responses). */
-        size_t memo_shards = 8;
-        size_t memo_capacity_per_shard = 1024;
-
         PredictAdmission admission;
 
-        /** Simulation pool, cycle budget, harness config. */
+        /** Simulation seats, admission bound, cycle budget, harness
+         *  config. */
         PredictEngine::Options engine;
 
         /** Requests at or above this handle() latency get a Warn

@@ -1,6 +1,5 @@
 #include "block_predict.h"
 
-#include "sim/measurement_cache.h"
 #include "support/status.h"
 
 namespace uops::sim {
@@ -25,16 +24,6 @@ BlockPredictor::predict(const isa::Kernel &body) const
                 gen.short_name);
     }
     return harness_.measure(body);
-}
-
-std::string
-BlockPredictor::fingerprint(uarch::UArch arch, const isa::Kernel &body,
-                            const HarnessOptions &options)
-{
-    std::string key = uarch::uarchShortName(arch);
-    key += '\0';
-    key += MeasurementCache::fingerprint(body, options);
-    return key;
 }
 
 } // namespace uops::sim

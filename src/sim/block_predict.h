@@ -20,10 +20,11 @@
  *    (uarch::TimingDb) caches lazily without locks, so each
  *    BlockPredictor owns a private TimingDb rather than sharing one.
  *    An instance is therefore single-threaded like the Pipeline it
- *    wraps — keep one per worker thread — but a MeasurementCache may
- *    be shared across all instances, whatever their uarch (its keys
- *    carry the machine model; timing is a pure function of the
- *    generation, independent of catalog contents or serving epoch).
+ *    wraps — one thread at a time (the prediction engine keeps one
+ *    per seat) — but a MeasurementCache may be shared across all
+ *    instances, whatever their uarch (its keys carry the machine
+ *    model; timing is a pure function of the generation, independent
+ *    of catalog contents or serving epoch).
  *
  * The measurement itself is exactly Algorithm 2 on the decoded
  * template (sim/harness.h): per-iteration steady-state cycles and
@@ -34,8 +35,6 @@
 
 #ifndef UOPS_SIM_BLOCK_PREDICT_H
 #define UOPS_SIM_BLOCK_PREDICT_H
-
-#include <string>
 
 #include "isa/kernel.h"
 #include "sim/harness.h"
@@ -87,17 +86,6 @@ class BlockPredictor
      * @return Per-iteration steady-state averages.
      */
     Measurement predict(const isa::Kernel &body) const;
-
-    /**
-     * Canonical memo key for (arch, body) under @p options: the uarch
-     * short name prefixed to the exact MeasurementCache fingerprint.
-     * Two requests get the same key iff they decode to byte-identical
-     * simulations, so memoized responses are bit-identical to cold
-     * ones by construction.
-     */
-    static std::string fingerprint(uarch::UArch arch,
-                                   const isa::Kernel &body,
-                                   const HarnessOptions &options);
 
   private:
     uarch::TimingDb timing_;

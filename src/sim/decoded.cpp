@@ -119,7 +119,7 @@ DecodedKernel::decodeOne(const InstrInstance &inst)
     // Dependency-breaking idiom: the read of this unit is skipped.
     int skip_unit = -1;
     if (idiom) {
-        auto expl = inst.variant->explicitOperands();
+        const auto &expl = inst.variant->explicitOperands();
         skip_unit = isa::regUnit(inst.regOf(expl[0]));
     }
     d.plan = static_cast<uint32_t>(plans_.size());
@@ -127,7 +127,7 @@ DecodedKernel::decodeOne(const InstrInstance &inst)
     for (const UopSpec &spec : uops)
         planUop(inst, spec, skip_unit, true);
     if (d.try_mov_elim) {
-        auto expl = inst.variant->explicitOperands();
+        const auto &expl = inst.variant->explicitOperands();
         d.elim_dst_unit = isa::regUnit(inst.regOf(expl[0]));
         d.elim_src_unit = isa::regUnit(inst.regOf(expl[1]));
     }

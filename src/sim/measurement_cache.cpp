@@ -111,6 +111,7 @@ MeasurementCache::getOrCompute(const std::string &key,
     Entry *entry = nullptr;
     {
         std::unique_lock<std::mutex> lock(shard.mutex);
+        bool waited = false;
         for (;;) {
             auto [it, claimed] = shard.map.try_emplace(key);
             if (claimed) {
@@ -122,6 +123,10 @@ MeasurementCache::getOrCompute(const std::string &key,
             if (it->second.ready) {
                 hits_.fetch_add(1, std::memory_order_relaxed);
                 return it->second.measurement;
+            }
+            if (!waited) {
+                waited = true;
+                waits_.fetch_add(1, std::memory_order_relaxed);
             }
             shard.settled.wait(lock);
         }

@@ -27,16 +27,19 @@
  * (cache-hit results must be bit-identical to cache-miss results).
  *
  * fingerprint() is a different, instruction-level key (variant ids
- * and operands): the request identity /predict coalesces and memoizes
- * responses by, because those responses echo the instructions.
+ * and operands): the request identity /predict memoizes whole
+ * responses by, because those responses echo the instructions. It
+ * keys nothing here; concurrent identical requests coalesce on the
+ * program key below like any other measurement.
  *
  * Misses are single-flight: the first caller to miss a key claims it
  * and simulates; a concurrent caller missing the same key waits for
  * that Measurement instead of simulating it again, and counts as a
- * hit. So misses() is the number of simulations run and equals size()
- * whatever the thread count. (Before, concurrent misses of one key
- * each simulated it and the first insert won: a 4-thread full sweep
- * ran 10,940-11,940 simulations where a 1-thread one ran 10,486.)
+ * hit; waits() counts those callers. So misses() is the number of
+ * simulations run and equals size() whatever the thread count.
+ * (Before, concurrent misses of one key each simulated it and the
+ * first insert won: a 4-thread full sweep ran 10,940-11,940
+ * simulations where a 1-thread one ran 10,486.)
  *
  * The table is sharded by key hash; each shard has its own mutex and
  * condition variable, so the batch engine shares one cache across all
@@ -101,6 +104,9 @@ class MeasurementCache
     size_t size() const;
     uint64_t hits() const { return hits_.load(); }
     uint64_t misses() const { return misses_.load(); }
+    /** Callers that found their key claimed by another caller and
+     *  waited for it to be published or dropped. */
+    uint64_t waits() const { return waits_.load(); }
 
   private:
     struct Entry
@@ -124,6 +130,7 @@ class MeasurementCache
     std::unordered_map<std::string, uint32_t> contexts_;
     std::atomic<uint64_t> hits_{0};
     std::atomic<uint64_t> misses_{0};
+    std::atomic<uint64_t> waits_{0};
 };
 
 } // namespace uops::sim

@@ -15,6 +15,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <latch>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -575,6 +576,107 @@ TEST(Service, PredictRejectsWhenEngineIsSaturatedWith429)
     auto stats = service.engineStats();
     EXPECT_EQ(stats.rejected, 1u);
     EXPECT_EQ(stats.simulations, 0u);
+}
+
+// ---------------------------------------------------------------------
+// Prediction engine, driven directly.
+// ---------------------------------------------------------------------
+
+/** Calls @p fn(i) on @p n threads released together by a latch. */
+template <typename Fn>
+void
+runTogether(size_t n, Fn fn)
+{
+    std::latch start(static_cast<std::ptrdiff_t>(n));
+    std::vector<std::thread> threads;
+    for (size_t i = 0; i < n; ++i) {
+        threads.emplace_back([&, i] {
+            start.arrive_and_wait();
+            fn(i);
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+}
+
+void
+expectSameMeasurement(const sim::Measurement &a,
+                      const sim::Measurement &b)
+{
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.port_uops, b.port_uops);
+    EXPECT_EQ(a.uops_issued, b.uops_issued);
+    EXPECT_EQ(a.uops_eliminated, b.uops_eliminated);
+}
+
+TEST(PredictEngine, ConcurrentIdenticalKernelsShareOneSimulation)
+{
+    server::PredictEngine engine(defaultDb(), {});
+    const isa::Kernel body = asm_("IMUL RAX, RBX\nADD RCX, RAX");
+    constexpr size_t kThreads = 8;
+    std::vector<sim::Measurement> results(kThreads);
+    runTogether(kThreads, [&](size_t i) {
+        results[i] = engine.simulate(uarch::UArch::Skylake, body);
+    });
+
+    server::PredictEngine::Stats stats = engine.stats();
+    EXPECT_EQ(stats.sim_cache_misses, 1u);
+    EXPECT_EQ(stats.sim_cache_hits, kThreads - 1);
+    EXPECT_EQ(stats.simulations, kThreads);
+    EXPECT_LE(stats.coalesced, kThreads - 1);
+    EXPECT_EQ(stats.inflight, 0u);
+    EXPECT_GT(results[0].cycles, 0.0);
+    for (const sim::Measurement &m : results)
+        expectSameMeasurement(m, results[0]);
+}
+
+TEST(PredictEngine, EveryConcurrentOverBudgetCallerThrows)
+{
+    // Each duplicate of an over-budget kernel takes over the claim
+    // the previous caller dropped and runs into the budget itself;
+    // nothing is memoized, and two seats serve four callers only if
+    // every throw gives its seat back.
+    server::PredictEngine::Options options;
+    options.predict.cycle_budget = 1;
+    server::PredictEngine engine(defaultDb(), options);
+    const isa::Kernel body = asm_("ADD RAX, RBX");
+    constexpr size_t kThreads = 4;
+    std::atomic<size_t> over_budget{0};
+    runTogether(kThreads, [&](size_t) {
+        try {
+            engine.simulate(uarch::UArch::Skylake, body);
+        } catch (const sim::CycleBudgetExceeded &) {
+            over_budget.fetch_add(1);
+        }
+    });
+
+    EXPECT_EQ(over_budget.load(), kThreads);
+    server::PredictEngine::Stats stats = engine.stats();
+    EXPECT_EQ(stats.sim_cache_entries, 0u);
+    EXPECT_EQ(stats.simulations, 0u);
+    EXPECT_EQ(stats.inflight, 0u);
+}
+
+TEST(PredictEngine, OneSeatServesEveryAdmittedCaller)
+{
+    server::PredictEngine::Options options;
+    options.num_threads = 1;
+    server::PredictEngine engine(defaultDb(), options);
+    const std::vector<isa::Kernel> bodies = {
+        asm_("ADD RAX, RBX"), asm_("IMUL RAX, RBX"),
+        asm_("DIV EBX"), asm_("MOVAPS XMM0, XMM1\nADDPS XMM0, XMM2")};
+    std::vector<sim::Measurement> results(bodies.size());
+    runTogether(bodies.size(), [&](size_t i) {
+        results[i] = engine.simulate(uarch::UArch::Haswell, bodies[i]);
+    });
+
+    for (const sim::Measurement &m : results)
+        EXPECT_GT(m.cycles, 0.0);
+    server::PredictEngine::Stats stats = engine.stats();
+    EXPECT_EQ(stats.workers, 1u);
+    EXPECT_EQ(stats.simulations, bodies.size());
+    EXPECT_EQ(stats.inflight, 0u);
+    EXPECT_EQ(stats.rejected, 0u);
 }
 
 TEST(Service, PostPredictUsesBody)
@@ -1569,6 +1671,9 @@ TEST(Observability, SweepMemoCountersAreUniqueAcrossRegistries)
               static_cast<double>(totals.hits));
     EXPECT_EQ(parsed.series["uops_sweep_memo_misses_total"],
               static_cast<double>(totals.misses));
+    EXPECT_EQ(parsed.type["uops_sweep_memo_waits_total"], "counter");
+    EXPECT_EQ(parsed.series["uops_sweep_memo_waits_total"],
+              static_cast<double>(totals.waits));
 }
 
 TEST(Observability, StatsReportsSamplesAndNullPercentiles)

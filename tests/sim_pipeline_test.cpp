@@ -381,6 +381,21 @@ TEST(SimAllocations, WarmRunsAllocateIndependentlyOfUopsIssued)
     EXPECT_EQ(allocations(10), allocations(110));
 }
 
+TEST(SimAllocations, SameRegOperandsDoesNotAllocate)
+{
+    // Decoding asks this of every body instruction, so every
+    // measurement (memo hits included) would pay for a copy of the
+    // explicit-operand indices.
+    auto body = asm_("XOR EAX, EAX\nADD RAX, RBX\nSHLD RAX, RBX\nLAHF");
+    uint64_t before = g_allocations.load();
+    int same = 0;
+    for (const isa::InstrInstance &inst : body)
+        same += uarch::TimingDb::sameRegOperands(inst) ? 1 : 0;
+    uint64_t after = g_allocations.load();
+    EXPECT_EQ(same, 1);
+    EXPECT_EQ(after - before, 0u);
+}
+
 // ---------------------------------------------------------------------
 // Serialization markers (Algorithm 2 plumbing).
 // ---------------------------------------------------------------------
