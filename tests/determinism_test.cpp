@@ -26,6 +26,7 @@
  *  - idle-cycle skipping is cycle-exact against plain stepping.
  */
 
+#include <initializer_list>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -464,9 +465,10 @@ digestCounters(uint64_t h, const sim::PerfCounters &c)
 }
 
 /** Digest of cycles, final counters and marker snapshots of every
- *  golden body @p arch supports, at 1, 2 and 10 body copies. */
+ *  golden body @p arch supports, at each of @p copies body copies,
+ *  with the counter reads at the two RDTSCs as in the harness. */
 uint64_t
-goldenDigest(UArch arch)
+goldenDigest(UArch arch, std::initializer_list<int> copies)
 {
     const auto &tdb = timingDb(arch);
     const uarch::UArchInfo &info = uarch::uarchInfo(arch);
@@ -485,7 +487,7 @@ goldenDigest(UArch arch)
         if (!supported)
             continue;
         sim::DecodedKernel decoded(tdb, prologue, body, epilogue);
-        for (int n : {1, 2, 10}) {
+        for (int n : copies) {
             std::vector<size_t> markers = {
                 2, prologue.size() + body.size() * n + 2};
             sim::RunResult r = pipeline.run(decoded, n, markers);
@@ -515,9 +517,31 @@ TEST(Determinism, GoldenRunResultsArePinned)
         {UArch::CoffeeLake, 0x5a4eb599d49a4518ull},
     };
     for (const auto &[arch, expected] : golden)
-        EXPECT_EQ(goldenDigest(arch), expected)
+        EXPECT_EQ(goldenDigest(arch, {1, 2, 10}), expected)
             << uarch::uarchShortName(arch) << " digest 0x" << std::hex
-            << goldenDigest(arch);
+            << goldenDigest(arch, {1, 2, 10});
+}
+
+TEST(Determinism, LongGoldenRunResultsArePinned)
+{
+    // Algorithm 2's long run (n = 110) and a longer one, where most
+    // body copies repeat a steady state. Recorded by plain cycle-by-
+    // cycle simulation of every copy.
+    const std::pair<UArch, uint64_t> golden[] = {
+        {UArch::Nehalem, 0x4f1db6c505d268bbull},
+        {UArch::Westmere, 0x4f1db6c505d268bbull},
+        {UArch::SandyBridge, 0x544182f52fb37590ull},
+        {UArch::IvyBridge, 0x41d396435c6fa1dfull},
+        {UArch::Haswell, 0xcd6571bcc4f3a303ull},
+        {UArch::Broadwell, 0xe015273dd8c19415ull},
+        {UArch::Skylake, 0x5978f9f7a7daa645ull},
+        {UArch::KabyLake, 0x5978f9f7a7daa645ull},
+        {UArch::CoffeeLake, 0x5978f9f7a7daa645ull},
+    };
+    for (const auto &[arch, expected] : golden)
+        EXPECT_EQ(goldenDigest(arch, {110, 500}), expected)
+            << uarch::uarchShortName(arch) << " digest 0x" << std::hex
+            << goldenDigest(arch, {110, 500});
 }
 
 TEST(Determinism, IdleCycleSkippingIsCycleExact)
