@@ -93,6 +93,7 @@
 #include "db/catalog.h"
 #include "isa/parser.h"
 #include "isa/results_xml.h"
+#include "sim/pipeline.h"
 #include "server/http_server.h"
 #include "support/hash.h"
 #include "support/obs/log.h"
@@ -283,19 +284,27 @@ cmdCharacterize(const Args &args)
 
     core::CharacterizationReport report;
     const core::SweepMemoTotals memo_before = core::sweepMemoTotals();
+    const sim::CopyTotals copies_before = sim::copyTotals();
     auto catalog = db::runCatalogSweep(*instrs, arches, options,
                                        base.get(), &report);
     const core::SweepMemoTotals memo = core::sweepMemoTotals();
+    const sim::CopyTotals copies = sim::copyTotals();
     const uint64_t hits = memo.hits - memo_before.hits;
     const uint64_t simulations = memo.misses - memo_before.misses;
     const uint64_t lookups = hits + simulations;
+    const uint64_t copies_run = copies.run - copies_before.run;
+    const uint64_t copies_skipped = copies.skipped - copies_before.skipped;
+    auto percent = [](uint64_t part, uint64_t whole) {
+        return whole > 0 ? 100.0 * static_cast<double>(part) /
+                               static_cast<double>(whole)
+                         : 0.0;
+    };
     std::printf("%zu tasks, %zu failed, %llu simulations, %.1f%% memo "
-                "hits\n",
+                "hits, %.1f%% body copies fast-forwarded\n",
                 report.numTasks(), report.numFailed(),
                 static_cast<unsigned long long>(simulations),
-                lookups > 0 ? 100.0 * static_cast<double>(hits) /
-                                  static_cast<double>(lookups)
-                            : 0.0);
+                percent(hits, lookups),
+                percent(copies_skipped, copies_run));
 
     if (xml_path != nullptr) {
         std::ofstream xml(*xml_path);

@@ -172,6 +172,18 @@ registerMemoCounters()
             "Sweep measurements that waited for another worker's "
             "simulation of the same program",
             {}, [] { return static_cast<double>(g_memo_waits.load()); });
+        registry.counterCallback(
+            "uops_sim_copies_total",
+            "Body copies the simulator was asked to run", {}, [] {
+                return static_cast<double>(sim::copyTotals().run);
+            });
+        registry.counterCallback(
+            "uops_sim_copies_skipped_total",
+            "Body copies the simulator fast-forwarded over a repeating "
+            "steady state instead of simulating",
+            {}, [] {
+                return static_cast<double>(sim::copyTotals().skipped);
+            });
     });
 }
 

@@ -176,7 +176,10 @@ struct CharacterizationReport
  * (sim::MeasurementCache). obs::Registry::global() exports hits,
  * misses and waits as the uops_sweep_memo_hits_total,
  * uops_sweep_memo_misses_total and uops_sweep_memo_waits_total
- * counters once the first sweep has started.
+ * counters once the first sweep has started, next to
+ * uops_sim_copies_total and uops_sim_copies_skipped_total
+ * (sim::copyTotals(): body copies the simulator ran and fast-forwarded,
+ * in every run of the process).
  */
 struct SweepMemoTotals
 {

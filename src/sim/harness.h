@@ -23,7 +23,10 @@
  *
  * Hot path: the body is decoded into a µop template once per measure()
  * call and the pipeline unrolls it logically (sim/decoded.h) — the
- * n-copy kernel is never materialized. When a MeasurementCache is
+ * n-copy kernel is never materialized — and fast-forwards over the
+ * copies that repeat a steady state (sim/pipeline.h), so most of the
+ * n = 110 run's copies are not simulated one by one; the counters
+ * are those of simulating every copy. When a MeasurementCache is
  * attached (setCache), the template is serialized into an exact
  * program key (the decoded body, Pipeline::appendBodyKey, after the id
  * of the harness's fixed context: machine model, outcome-affecting

@@ -1,6 +1,8 @@
 #include "pipeline.h"
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <limits>
 
 #include "support/status.h"
@@ -33,6 +35,34 @@ struct UopDyn
     bool dispatched = false;
     int8_t port = -1;
 };
+
+/** Words of a StateSnapshot's summary (see Core::summarize). */
+constexpr size_t kSummaryWords = 9 + 3 * kMaxPorts;
+
+/** State snapshot of the steady-state fast-forward, taken at a body-copy
+ *  boundary: a summary, the canonical state (Core::encodeState) once
+ *  the summary has repeated, and where the run stood. */
+struct StateSnapshot
+{
+    std::array<int64_t, kSummaryWords> summary{};
+    uint64_t summary_hash = 0;
+    bool encoded = false;
+    std::vector<int64_t> words;
+    size_t next_instr = 0;
+    int64_t cycle = 0;
+    PerfCounters counters;
+};
+
+/** Snapshots kept per run: the longest steady-state period the
+ *  fast-forward finds, in snapshot strides. */
+constexpr size_t kSnapshotSlots = 32;
+
+/** Instructions simulated at least between two snapshots; a snapshot
+ *  costs O(in-flight µops), so tiny bodies take one every few copies. */
+constexpr size_t kSnapshotInstrs = 16;
+
+std::atomic<uint64_t> g_copies_run{0};
+std::atomic<uint64_t> g_copies_skipped{0};
 
 static_assert(isa::kUnitFlagAf == isa::kUnitFlagCf + 1 &&
                   isa::kUnitFlagSpazo == isa::kUnitFlagCf + 2,
@@ -69,6 +99,11 @@ class PipelineScratch
     std::vector<int> waiting;
     std::vector<int64_t> div_busy;
     std::vector<int> instr_uops_left;
+
+    /** Steady-state fast-forward: a ring of kSnapshotSlots snapshots,
+     *  and the live value ids a jump shifts. */
+    std::vector<StateSnapshot> snapshots;
+    std::vector<int32_t> live_values;
 };
 
 namespace {
@@ -91,7 +126,12 @@ class Core
           operands_(s.operands), pending_uops_(s.pending_uops),
           rob_(s.rob), bound_(s.bound), bound_head_(s.bound_head),
           waiting_(s.waiting), div_busy_(s.div_busy),
-          instr_uops_left_(s.instr_uops_left)
+          instr_uops_left_(s.instr_uops_left),
+          body_begin_(decoded.prologueSize()),
+          body_size_(decoded.bodySize()),
+          body_end_(body_begin_ +
+                    body_size_ * static_cast<size_t>(body_reps)),
+          snapshots_(s.snapshots), live_values_(s.live_values)
     {
         marker_set_.assign(markers.begin(), markers.end());
         std::sort(marker_set_.begin(), marker_set_.end());
@@ -115,12 +155,22 @@ class Core
         // -1: not yet renamed (blocks the in-order retire cursor).
         instr_uops_left_.assign(total_, -1);
         result_.snapshots.resize(marker_set_.size());
+        // A single copy (every materialized kernel) cannot repeat.
+        if (body_reps > 1) {
+            size_t copies = std::max<size_t>(
+                1, (kSnapshotInstrs + body_size_ - 1) / body_size_);
+            snapshot_stride_ = copies * body_size_;
+            next_snapshot_ = body_begin_ + snapshot_stride_;
+            snapshots_.resize(kSnapshotSlots);
+        }
     }
 
     RunResult
     run()
     {
         while (!done()) {
+            if (next_instr_ >= next_snapshot_)
+                fastForward();
             ++cycle_;
             panicIf(cycle_ > options_.max_cycles,
                     "simulation exceeded max_cycles (deadlock?)");
@@ -142,6 +192,7 @@ class Core
         counters_.cycles = cycle_;
         result_.final = counters_;
         result_.cycles = cycle_;
+        result_.skipped_copies = skipped_copies_;
         return std::move(result_);
     }
 
@@ -562,6 +613,263 @@ class Core
             cycle_ = next - 1;
     }
 
+    // ---- steady-state fast-forward -----------------------------------
+    /**
+     * Canonical form of value @p v: what any future read of it can
+     * observe. 0 if it is ready for every consumer; its remaining
+     * latency and domain if it is dispatched but still in flight; its
+     * distance from the newest value id if its producer has not
+     * dispatched yet (ids are allocated in program order).
+     */
+    int64_t
+    canonicalValue(int32_t v) const
+    {
+        int64_t ready = value_ready_[static_cast<size_t>(v)];
+        if (ready >= kNotReady)
+            return static_cast<int64_t>(value_ready_.size() -
+                                        static_cast<size_t>(v)) *
+                       4 +
+                   2;
+        if (ready + info_.bypass_delay <= cycle_)
+            return 0;
+        return ((ready - cycle_) * 8 +
+                value_domain_[static_cast<size_t>(v)]) *
+                   4 +
+               1;
+    }
+
+    /** A µop in flight: when it can retire if it has dispatched (or
+     *  needs no port), else everything its dispatch reads. */
+    void
+    encodeUop(const UopDyn &u, std::vector<int64_t> &w) const
+    {
+        const int64_t instr = static_cast<int64_t>(u.instr_idx) -
+                              static_cast<int64_t>(next_instr_);
+        if (u.spec == nullptr || u.dispatched) {
+            w.push_back(instr * 2);
+            w.push_back(std::max<int64_t>(0, u.complete - cycle_));
+            return;
+        }
+        w.push_back(instr * 2 + 1);
+        w.push_back(reinterpret_cast<intptr_t>(u.spec));
+        w.push_back((u.slow ? 1 : 0) | ((u.port + 1) << 1) |
+                    (static_cast<int64_t>(u.num_srcs) << 8) |
+                    (static_cast<int64_t>(u.num_dsts) << 24));
+        for (int k = 0; k < u.num_srcs; ++k)
+            w.push_back(canonicalValue(operands_[u.srcs + k]));
+        w.push_back(static_cast<int64_t>(value_ready_.size()) - u.dsts);
+    }
+
+    /** Scalars of the state, relative like encodeState: equal states
+     *  have equal summaries, so most snapshots skip encodeState. */
+    void
+    summarize(std::array<int64_t, kSummaryWords> &w) const
+    {
+        const int64_t ni = static_cast<int64_t>(next_instr_);
+        w[0] = static_cast<int64_t>((next_instr_ - body_begin_) %
+                                    body_size_);
+        w[1] = serializer_in_flight_ < 0 ? 0 : ni - serializer_in_flight_;
+        w[2] = dirty_upper_ ? 1 : 0;
+        w[3] = options_.mov_elim_period > 0
+                   ? static_cast<int64_t>(
+                         mov_elim_counter_ %
+                         static_cast<uint64_t>(options_.mov_elim_period))
+                   : 0;
+        w[4] = rs_count_;
+        w[5] = ni - static_cast<int64_t>(retire_cursor_);
+        w[6] = static_cast<int64_t>(pending_uops_.size() - pending_head_);
+        w[7] = static_cast<int64_t>(rob_.size() - retire_head_);
+        w[8] = static_cast<int64_t>(mem_value_.size());
+        for (size_t p = 0; p < kMaxPorts; ++p) {
+            bool live = p < static_cast<size_t>(info_.num_ports);
+            int64_t *port = &w[9 + 3 * p];
+            port[0] = live ? waiting_[p] : 0;
+            port[1] = live ? std::max<int64_t>(0, div_busy_[p] - cycle_) : 0;
+            port[2] = live ? static_cast<int64_t>(bound_[p].size() -
+                                                  bound_head_[p])
+                           : 0;
+        }
+    }
+
+    /**
+     * Everything a future cycle can read beyond the summary, relative
+     * to cycle_ and next_instr_, so that two states equal up to a shift
+     * of the clock and of the stream position encode to equal words.
+     */
+    void
+    encodeState(std::vector<int64_t> &w) const
+    {
+        w.clear();
+        for (int p = 0; p < info_.num_ports; ++p) {
+            const auto &queue = bound_[static_cast<size_t>(p)];
+            for (size_t i = bound_head_[static_cast<size_t>(p)];
+                 i < queue.size(); ++i)
+                w.push_back(static_cast<int64_t>(queue[i] - retire_head_));
+        }
+        for (int32_t v : unit_value_)
+            w.push_back(canonicalValue(v));
+        for (const auto &[tag, v] : mem_value_) {
+            w.push_back(tag);
+            w.push_back(canonicalValue(v));
+        }
+        for (int32_t v : temp_value_)
+            w.push_back(canonicalValue(v));
+        for (size_t i = retire_cursor_; i < next_instr_; ++i)
+            w.push_back(instr_uops_left_[i]);
+        for (size_t i = pending_head_; i < pending_uops_.size(); ++i)
+            encodeUop(pending_uops_[i], w);
+        for (size_t i = retire_head_; i < rob_.size(); ++i)
+            encodeUop(rob_[i], w);
+    }
+
+    static uint64_t
+    hashSummary(const std::array<int64_t, kSummaryWords> &w)
+    {
+        uint64_t h = 0x9e3779b97f4a7c15ull;
+        for (int64_t x : w) {
+            h = (h ^ static_cast<uint64_t>(x)) * 0xff51afd7ed558ccdull;
+            h ^= h >> 32;
+        }
+        return h;
+    }
+
+    /**
+     * At the first cycle of a snapshot stride: snapshot the state, and
+     * if it repeats an earlier snapshot of this run, jump over whole
+     * periods of the repetition. A state is encoded in full only once
+     * its summary repeats, so a steady state is found one period after
+     * its summaries start to repeat.
+     */
+    void
+    fastForward()
+    {
+        if (next_instr_ >= body_end_) {
+            next_snapshot_ = std::numeric_limits<size_t>::max();
+            return;
+        }
+        next_snapshot_ = next_instr_ + snapshot_stride_ -
+                         (next_instr_ - body_begin_) % snapshot_stride_;
+        const size_t taken = snapshots_taken_++;
+        StateSnapshot &snap = snapshots_[taken % kSnapshotSlots];
+        summarize(snap.summary);
+        snap.summary_hash = hashSummary(snap.summary);
+        snap.encoded = false;
+        snap.next_instr = next_instr_;
+        snap.cycle = cycle_;
+        snap.counters = counters_;
+        const size_t older = std::min(taken, kSnapshotSlots - 1);
+        for (size_t back = 1; back <= older; ++back) {
+            const StateSnapshot &old =
+                snapshots_[(taken - back) % kSnapshotSlots];
+            if (old.summary_hash != snap.summary_hash ||
+                old.summary != snap.summary)
+                continue;
+            if (!snap.encoded) {
+                encodeState(snap.words);
+                snap.encoded = true;
+            }
+            if (old.encoded && old.words == snap.words) {
+                jump(old);
+                return;
+            }
+        }
+    }
+
+    /**
+     * The state repeats @p old shifted by one period: `period` stream
+     * positions (whole body copies, equal phase) and `dt` cycles. The
+     * same body instructions lie ahead of both, so the run from here
+     * repeats the run from @p old shifted by one period, again and
+     * again while body copies remain; jump over m such periods.
+     */
+    void
+    jump(const StateSnapshot &old)
+    {
+        const auto period = static_cast<int64_t>(next_instr_ -
+                                                 old.next_instr);
+        const int64_t dt = cycle_ - old.cycle;
+        const auto ni = static_cast<int64_t>(next_instr_);
+        const auto rc = static_cast<int64_t>(retire_cursor_);
+        // At least one full period and the epilogue stay to simulate.
+        int64_t m = (static_cast<int64_t>(body_end_) - 1 - ni) / period - 1;
+        // No marker may retire inside the skipped span.
+        auto marker = std::lower_bound(marker_set_.begin(),
+                                       marker_set_.end(), retire_cursor_);
+        if (marker != marker_set_.end())
+            m = std::min(m, (static_cast<int64_t>(*marker) - rc) / period);
+        // The clock stays within the limits the plain run checks.
+        int64_t limit = options_.max_cycles;
+        if (options_.cycle_budget > 0)
+            limit = std::min(limit, options_.cycle_budget);
+        m = std::min(m, (limit - cycle_) / dt);
+        if (m < 1)
+            return;
+
+        const int64_t shift = m * period;
+        const int64_t later = m * dt;
+        // Values still in flight for some consumer complete later;
+        // values ready for all and values not yet produced stay.
+        live_values_.assign(unit_value_.begin(), unit_value_.end());
+        for (const auto &entry : mem_value_)
+            live_values_.push_back(entry.second);
+        live_values_.insert(live_values_.end(), temp_value_.begin(),
+                            temp_value_.end());
+        auto shiftUops = [&](std::vector<UopDyn> &uops, size_t head) {
+            for (size_t i = head; i < uops.size(); ++i) {
+                UopDyn &u = uops[i];
+                if (u.spec != nullptr && !u.dispatched)
+                    live_values_.insert(live_values_.end(),
+                                        operands_.begin() + u.srcs,
+                                        operands_.begin() + u.srcs +
+                                            u.num_srcs);
+                u.instr_idx += static_cast<int32_t>(shift);
+                if (u.complete >= 0)
+                    u.complete += later;
+            }
+        };
+        shiftUops(pending_uops_, pending_head_);
+        shiftUops(rob_, retire_head_);
+        std::sort(live_values_.begin(), live_values_.end());
+        live_values_.erase(
+            std::unique(live_values_.begin(), live_values_.end()),
+            live_values_.end());
+        for (int32_t v : live_values_) {
+            int64_t &ready = value_ready_[static_cast<size_t>(v)];
+            if (ready < kNotReady && ready + info_.bypass_delay > cycle_)
+                ready += later;
+        }
+        for (int64_t &busy : div_busy_)
+            busy += later;
+
+        // Instructions in flight move with the stream; the skipped ones
+        // have retired.
+        auto left = instr_uops_left_.begin();
+        std::copy_backward(left + rc, left + ni, left + ni + shift);
+        std::fill(left + rc, left + rc + shift, 0);
+        if (serializer_in_flight_ >= 0)
+            serializer_in_flight_ += static_cast<int32_t>(shift);
+        next_instr_ += static_cast<size_t>(shift);
+        retire_cursor_ += static_cast<size_t>(shift);
+
+        // Move elimination only reads mov_elim_counter_ modulo its
+        // period, which the snapshots matched, so it stays as it is.
+        cycle_ += later;
+        for (int p = 0; p < kMaxPorts; ++p) {
+            auto i = static_cast<size_t>(p);
+            counters_.port_uops[i] +=
+                m * (counters_.port_uops[i] - old.counters.port_uops[i]);
+        }
+        counters_.uops_issued +=
+            m * (counters_.uops_issued - old.counters.uops_issued);
+        counters_.uops_eliminated +=
+            m * (counters_.uops_eliminated - old.counters.uops_eliminated);
+        counters_.instrs_retired +=
+            m * (counters_.instrs_retired - old.counters.instrs_retired);
+        skipped_copies_ += shift / static_cast<int64_t>(body_size_);
+        next_snapshot_ = next_instr_ + snapshot_stride_ -
+                         (next_instr_ - body_begin_) % snapshot_stride_;
+    }
+
     // ---- members -----------------------------------------------------
     const uarch::TimingDb &timing_;
     const uarch::UArchInfo &info_;
@@ -598,6 +906,17 @@ class Core
     std::vector<int> &waiting_;
     std::vector<int64_t> &div_busy_;
     std::vector<int> &instr_uops_left_;
+
+    const size_t body_begin_; ///< stream position of the first copy
+    const size_t body_size_;
+    const size_t body_end_; ///< stream position past the last copy
+    std::vector<StateSnapshot> &snapshots_;
+    std::vector<int32_t> &live_values_;
+    /** Stream positions between snapshots (whole copies). */
+    size_t snapshot_stride_ = 0;
+    size_t next_snapshot_ = std::numeric_limits<size_t>::max();
+    size_t snapshots_taken_ = 0;
+    int64_t skipped_copies_ = 0;
 
     PerfCounters counters_;
     RunResult result_;
@@ -716,7 +1035,21 @@ Pipeline::run(const DecodedKernel &decoded, int body_reps,
         body_reps = 0;
     Core core(timing_, info_, options_, decoded, body_reps, markers,
               *scratch_);
-    return core.run();
+    RunResult result = core.run();
+    g_copies_run.fetch_add(static_cast<uint64_t>(body_reps),
+                           std::memory_order_relaxed);
+    if (result.skipped_copies > 0)
+        g_copies_skipped.fetch_add(
+            static_cast<uint64_t>(result.skipped_copies),
+            std::memory_order_relaxed);
+    return result;
+}
+
+CopyTotals
+copyTotals()
+{
+    return {g_copies_run.load(std::memory_order_relaxed),
+            g_copies_skipped.load(std::memory_order_relaxed)};
 }
 
 void

@@ -41,13 +41,49 @@
  * constant however many µops it issues (pinned by sim_pipeline_test).
  * Before the rename plans, flag-group expansion and µops with more
  * than four sources allocated per renamed µop: a full nine-uarch,
- * full-ISA sweep made about 35 M heap allocations, and makes 12.3 M
- * now, most of them in benchmark construction and decoding. Results
+ * full-ISA sweep (runBatchSweep, 4 threads) made about 35 M heap
+ * allocations, and makes 6.2 M now, most of them in benchmark
+ * construction and decoding; the fast-forward's snapshots live in the
+ * same arena and did not move that count. Results
  * are unaffected: every run starts from a fully reset power-on state.
  * When no µop can dispatch, issue, or retire in a cycle, the simulated
  * clock skips ahead to the next cycle at which a value becomes ready,
  * the divider frees up, or the oldest µop completes — cycle-exact,
  * since no architectural state can change in the skipped span.
+ *
+ * Steady-state fast-forward: a logically unrolled run soon settles
+ * into a state that repeats every few body copies, and the remaining
+ * copies only replay it. At the first cycle of every snapshot stride
+ * (whole copies, at least 16 instructions) the core snapshots its
+ * live state relative to the clock and to the stream position: the
+ * body phase, the serializer and in-flight instruction counts, the
+ * pending and ROB entries from their heads (spec, instruction offset,
+ * dispatch state, remaining time to complete, sources and
+ * destinations), the port queues as ROB offsets, scheduler and
+ * divider occupancy, the SSE/AVX upper state, the move-elimination
+ * phase, and every register, memory and temporary binding. A value is
+ * canonical: ready for every consumer, in flight with its remaining
+ * latency and domain, or not yet produced and named by its distance
+ * from the newest value id (ids are allocated in program order). A
+ * cheap summary of the scalars is compared first; a state is encoded
+ * in full once its summary repeats. When a state equals an earlier
+ * one of the same run, P copies and Δ cycles before, the same body
+ * instructions lie ahead of both and nothing the core does depends on
+ * absolute positions or times, so the run from here is the run from
+ * there shifted by P copies and Δ cycles, and it repeats while body
+ * copies remain. The core then jumps m whole periods: clock, counters,
+ * stream position, retire cursor, in-flight instruction indices, ready
+ * and completion times and divider occupancy move by m periods; value
+ * ids and ROB indices stay. The jump is exact, so results are bit-
+ * identical to simulating every copy. It does not fire across a marker
+ * that has not retired yet (Algorithm 2's counter reads sit outside
+ * the body), it leaves at least one full period and the epilogue to
+ * simulate, it keeps the clock within max_cycles and the cycle budget
+ * (so the same limit throws as in a plain run), and it never fires on
+ * a materialized kernel, which is one body copy: run(kernel) is the
+ * reference tests compare the fast-forward with. On the full
+ * nine-uarch catalog sweep it skips 45% of the body copies and 68% of
+ * the issued µops (RunResult::skipped_copies, copyTotals()).
  *
  * Two further designs were measured on the full sweep in a prototype
  * and did not pay:
@@ -127,7 +163,21 @@ struct RunResult
     PerfCounters final;                  ///< Counters at end of run.
     std::vector<PerfCounters> snapshots; ///< At marker retirements.
     int64_t cycles = 0;                  ///< Total cycles to drain.
+    /** Body copies the steady-state fast-forward jumped over instead
+     *  of simulating (see the file comment); the counters above are
+     *  the same either way. */
+    int64_t skipped_copies = 0;
 };
+
+/** Body copies run() was asked to execute and body copies it
+ *  fast-forwarded, summed over every run in this process. */
+struct CopyTotals
+{
+    uint64_t run = 0;
+    uint64_t skipped = 0;
+};
+
+CopyTotals copyTotals();
 
 /**
  * The simulated core. Architecturally stateless between run() calls —

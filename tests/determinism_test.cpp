@@ -352,8 +352,24 @@ const char *const kUnrollBodies[] = {
     "IMUL RAX, RBX\nLFENCE\nIMUL RCX, RBX",
 };
 
+/** prologue · body × n · epilogue, materialized. */
+isa::Kernel
+flatten(const isa::Kernel &prologue, const isa::Kernel &body, int n,
+        const isa::Kernel &epilogue)
+{
+    isa::Kernel flat(prologue);
+    for (int i = 0; i < n; ++i)
+        flat.insert(flat.end(), body.begin(), body.end());
+    flat.insert(flat.end(), epilogue.begin(), epilogue.end());
+    return flat;
+}
+
 TEST(Determinism, LogicalUnrollMatchesMaterializedKernel)
 {
+    // The materialized kernel is one body copy, which never
+    // fast-forwards: at 110 and 257 copies it is the reference for the
+    // steady-state jump of the logically unrolled run.
+    int64_t skipped = 0;
     for (UArch arch : {UArch::Nehalem, UArch::Skylake}) {
         const auto &tdb = timingDb(arch);
         sim::Pipeline pipeline(tdb);
@@ -362,24 +378,106 @@ TEST(Determinism, LogicalUnrollMatchesMaterializedKernel)
 
         for (const char *listing : kUnrollBodies) {
             auto body = asm_(listing);
-            for (int n : {1, 3, 10}) {
-                isa::Kernel flat;
-                flat.insert(flat.end(), prologue.begin(),
-                            prologue.end());
-                for (int i = 0; i < n; ++i)
-                    flat.insert(flat.end(), body.begin(), body.end());
-                flat.insert(flat.end(), epilogue.begin(),
-                            epilogue.end());
+            for (int n : {1, 3, 10, 110, 257}) {
+                isa::Kernel flat = flatten(prologue, body, n, epilogue);
                 std::vector<size_t> markers = {2, flat.size() - 2};
 
                 sim::DecodedKernel decoded(tdb, prologue, body,
                                            epilogue);
-                expectRunsEqual(
-                    pipeline.run(flat, markers),
-                    pipeline.run(decoded, n, markers),
-                    std::string(listing) + " n=" + std::to_string(n));
+                sim::RunResult reference = pipeline.run(flat, markers);
+                sim::RunResult logical = pipeline.run(decoded, n, markers);
+                std::string what =
+                    std::string(listing) + " n=" + std::to_string(n);
+                EXPECT_EQ(reference.skipped_copies, 0) << what;
+                expectRunsEqual(reference, logical, what);
+                skipped += logical.skipped_copies;
             }
         }
+    }
+    EXPECT_GT(skipped, 0) << "no run fast-forwarded";
+}
+
+/** A body whose long runs settle into a steady state early: four
+ *  IMUL chains share port 1, so the scheduler fills within 40 copies
+ *  and then repeats every copy. */
+constexpr const char *kSteadyBody =
+    "IMUL RAX, RBX\nIMUL RCX, RDX\nIMUL RSI, RDI\nIMUL R8, R9";
+
+TEST(Determinism, FastForwardKeepsTheCycleBudgetExact)
+{
+    const auto &tdb = timingDb(UArch::Skylake);
+    auto wrapper = asm_("CPUID\nRDTSC\nCPUID");
+    auto body = asm_(kSteadyBody);
+    constexpr int n = 257;
+    std::vector<size_t> markers = {1, 3 + body.size() * n + 1};
+    sim::DecodedKernel decoded(tdb, wrapper, body, wrapper);
+    isa::Kernel flat = flatten(wrapper, body, n, wrapper);
+
+    sim::RunResult plain = sim::Pipeline(tdb).run(flat, markers);
+    sim::RunResult unbudgeted =
+        sim::Pipeline(tdb).run(decoded, n, markers);
+    expectRunsEqual(plain, unbudgeted, "unbudgeted");
+    // One skipped span of more than 160 of the 257 copies, at a steady
+    // four cycles a copy, covers the middle of the run.
+    ASSERT_GT(unbudgeted.skipped_copies, 160);
+
+    auto budgeted = [&](int64_t budget) {
+        sim::SimOptions options;
+        options.cycle_budget = budget;
+        return sim::Pipeline(tdb, options);
+    };
+    for (int64_t budget : {plain.cycles / 2, plain.cycles - 1}) {
+        for (bool logical : {false, true}) {
+            sim::Pipeline pipeline = budgeted(budget);
+            try {
+                if (logical)
+                    (void)pipeline.run(decoded, n, markers);
+                else
+                    (void)pipeline.run(flat, markers);
+                ADD_FAILURE() << "budget " << budget << " not enforced";
+            } catch (const sim::CycleBudgetExceeded &e) {
+                EXPECT_EQ(e.budget(), budget);
+            }
+        }
+    }
+    // A budget below max_cycles throws first, as in the plain run,
+    // even when one skipped span would cross both.
+    {
+        sim::SimOptions options;
+        options.cycle_budget = plain.cycles / 3;
+        options.max_cycles = plain.cycles / 2;
+        sim::Pipeline pipeline(tdb, options);
+        EXPECT_THROW((void)pipeline.run(decoded, n, markers),
+                     sim::CycleBudgetExceeded);
+    }
+    // The run's own length is within budget: nothing throws, and the
+    // jump still fires.
+    sim::RunResult exact = budgeted(plain.cycles).run(decoded, n, markers);
+    expectRunsEqual(plain, exact, "budget = run length");
+    EXPECT_EQ(exact.skipped_copies, unbudgeted.skipped_copies);
+}
+
+TEST(Determinism, FastForwardStopsAtMidBodyMarkers)
+{
+    // Counter reads inside the body, as a profiler would place them:
+    // every one must see the plain run's counters, so no jump may
+    // retire past a marker; the copies around them still fast-forward.
+    for (UArch arch : {UArch::Nehalem, UArch::Skylake}) {
+        const auto &tdb = timingDb(arch);
+        sim::Pipeline pipeline(tdb);
+        auto wrapper = asm_("CPUID\nRDTSC\nCPUID");
+        auto body = asm_(kSteadyBody);
+        constexpr int n = 257;
+        isa::Kernel flat = flatten(wrapper, body, n, wrapper);
+        std::vector<size_t> markers = {1, 3 + body.size() * 100 + 1,
+                                       3 + body.size() * 180,
+                                       3 + body.size() * n + 1};
+        sim::DecodedKernel decoded(tdb, wrapper, body, wrapper);
+        sim::RunResult logical = pipeline.run(decoded, n, markers);
+        expectRunsEqual(pipeline.run(flat, markers), logical,
+                        uarch::uarchShortName(arch));
+        EXPECT_GT(logical.skipped_copies, 100)
+            << uarch::uarchShortName(arch);
     }
 }
 

@@ -35,6 +35,7 @@
 #include "server/http_server.h"
 #include "server/json.h"
 #include "sim/block_predict.h"
+#include "sim/pipeline.h"
 #include "support/obs/log.h"
 #include "support/thread_pool.h"
 #include "test_util.h"
@@ -1650,6 +1651,8 @@ TEST(Observability, SweepMemoCountersAreUniqueAcrossRegistries)
     core::SweepMemoTotals totals = core::sweepMemoTotals();
     EXPECT_GT(totals.misses, 0u);
     EXPECT_GT(totals.hits, 0u);
+    sim::CopyTotals copies = sim::copyTotals();
+    EXPECT_GE(copies.run, 120 * totals.misses);
 
     auto service = makeService();
     HttpResponse response = service->handle(get("/metrics"));
@@ -1674,6 +1677,12 @@ TEST(Observability, SweepMemoCountersAreUniqueAcrossRegistries)
     EXPECT_EQ(parsed.type["uops_sweep_memo_waits_total"], "counter");
     EXPECT_EQ(parsed.series["uops_sweep_memo_waits_total"],
               static_cast<double>(totals.waits));
+    EXPECT_EQ(parsed.type["uops_sim_copies_total"], "counter");
+    EXPECT_EQ(parsed.series["uops_sim_copies_total"],
+              static_cast<double>(copies.run));
+    EXPECT_EQ(parsed.type["uops_sim_copies_skipped_total"], "counter");
+    EXPECT_EQ(parsed.series["uops_sim_copies_skipped_total"],
+              static_cast<double>(copies.skipped));
 }
 
 TEST(Observability, StatsReportsSamplesAndNullPercentiles)
