@@ -37,7 +37,7 @@ struct UopDyn
 };
 
 /** Words of a StateSnapshot's summary (see Core::summarize). */
-constexpr size_t kSummaryWords = 9 + 3 * kMaxPorts;
+constexpr size_t kSummaryWords = 9 + 5 * kMaxPorts;
 
 /** State snapshot of the steady-state fast-forward, taken at a body-copy
  *  boundary: a summary, the canonical state (Core::encodeState) once
@@ -681,13 +681,19 @@ class Core
         w[7] = static_cast<int64_t>(rob_.size() - retire_head_);
         w[8] = static_cast<int64_t>(mem_value_.size());
         for (size_t p = 0; p < kMaxPorts; ++p) {
-            bool live = p < static_cast<size_t>(info_.num_ports);
-            int64_t *port = &w[9 + 3 * p];
-            port[0] = live ? waiting_[p] : 0;
-            port[1] = live ? std::max<int64_t>(0, div_busy_[p] - cycle_) : 0;
-            port[2] = live ? static_cast<int64_t>(bound_[p].size() -
-                                                  bound_head_[p])
-                           : 0;
+            int64_t *port = &w[9 + 5 * p];
+            std::fill(port, port + 5, 0);
+            if (p >= static_cast<size_t>(info_.num_ports))
+                continue;
+            const auto &queue = bound_[p];
+            port[0] = waiting_[p];
+            port[1] = std::max<int64_t>(0, div_busy_[p] - cycle_);
+            port[2] = static_cast<int64_t>(queue.size() - bound_head_[p]);
+            if (port[2] > 0) {
+                port[3] = static_cast<int64_t>(queue[bound_head_[p]] -
+                                               retire_head_);
+                port[4] = static_cast<int64_t>(queue.back() - retire_head_);
+            }
         }
     }
 
