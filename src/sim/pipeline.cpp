@@ -4,6 +4,7 @@
 #include <array>
 #include <atomic>
 #include <limits>
+#include <string>
 
 #include "support/status.h"
 
@@ -47,7 +48,7 @@ struct StateSnapshot
     std::array<int64_t, kSummaryWords> summary{};
     uint64_t summary_hash = 0;
     bool encoded = false;
-    std::vector<int64_t> words;
+    std::string words;
     size_t next_instr = 0;
     int64_t cycle = 0;
     PerfCounters counters;
@@ -60,6 +61,20 @@ constexpr size_t kSnapshotSlots = 32;
 /** Instructions simulated at least between two snapshots; a snapshot
  *  costs O(in-flight µops), so tiny bodies take one every few copies. */
 constexpr size_t kSnapshotInstrs = 16;
+
+/** Appends @p v to @p out as a zigzag LEB128 varint. The encoding is
+ *  prefix-free, so equal byte strings mean equal integer sequences. */
+void
+appendVarint(std::string &out, int64_t v)
+{
+    uint64_t z = (static_cast<uint64_t>(v) << 1) ^
+                 static_cast<uint64_t>(v >> 63);
+    while (z >= 0x80) {
+        out.push_back(static_cast<char>((z & 0x7f) | 0x80));
+        z >>= 7;
+    }
+    out.push_back(static_cast<char>(z));
+}
 
 std::atomic<uint64_t> g_copies_run{0};
 std::atomic<uint64_t> g_copies_skipped{0};
@@ -639,25 +654,26 @@ class Core
     }
 
     /** A µop in flight: when it can retire if it has dispatched (or
-     *  needs no port), else everything its dispatch reads. */
+     *  needs no port), else everything its dispatch reads, its spec as
+     *  the distance from @p spec, the previous one encoded. Its
+     *  instruction is implied: the µops in flight are in program order
+     *  and encodeState lists each in-flight instruction's count. */
     void
-    encodeUop(const UopDyn &u, std::vector<int64_t> &w) const
+    encodeUop(const UopDyn &u, intptr_t &spec, std::string &w) const
     {
-        const int64_t instr = static_cast<int64_t>(u.instr_idx) -
-                              static_cast<int64_t>(next_instr_);
         if (u.spec == nullptr || u.dispatched) {
-            w.push_back(instr * 2);
-            w.push_back(std::max<int64_t>(0, u.complete - cycle_));
+            appendVarint(w, std::max<int64_t>(0, u.complete - cycle_) * 2);
             return;
         }
-        w.push_back(instr * 2 + 1);
-        w.push_back(reinterpret_cast<intptr_t>(u.spec));
-        w.push_back((u.slow ? 1 : 0) | ((u.port + 1) << 1) |
-                    (static_cast<int64_t>(u.num_srcs) << 8) |
-                    (static_cast<int64_t>(u.num_dsts) << 24));
+        appendVarint(w, ((u.slow ? 1 : 0) | ((u.port + 1) << 1)) * 2 + 1);
+        const auto here = reinterpret_cast<intptr_t>(u.spec);
+        appendVarint(w, here - spec);
+        spec = here;
+        appendVarint(w, u.num_srcs);
+        appendVarint(w, u.num_dsts);
         for (int k = 0; k < u.num_srcs; ++k)
-            w.push_back(canonicalValue(operands_[u.srcs + k]));
-        w.push_back(static_cast<int64_t>(value_ready_.size()) - u.dsts);
+            appendVarint(w, canonicalValue(operands_[u.srcs + k]));
+        appendVarint(w, static_cast<int64_t>(value_ready_.size()) - u.dsts);
     }
 
     /** Scalars of the state, relative like encodeState: equal states
@@ -700,32 +716,33 @@ class Core
     /**
      * Everything a future cycle can read beyond the summary, relative
      * to cycle_ and next_instr_, so that two states equal up to a shift
-     * of the clock and of the stream position encode to equal words.
+     * of the clock and of the stream position encode to equal bytes.
      */
     void
-    encodeState(std::vector<int64_t> &w) const
+    encodeState(std::string &w) const
     {
         w.clear();
         for (int p = 0; p < info_.num_ports; ++p) {
             const auto &queue = bound_[static_cast<size_t>(p)];
             for (size_t i = bound_head_[static_cast<size_t>(p)];
                  i < queue.size(); ++i)
-                w.push_back(static_cast<int64_t>(queue[i] - retire_head_));
+                appendVarint(w, static_cast<int64_t>(queue[i] - retire_head_));
         }
         for (int32_t v : unit_value_)
-            w.push_back(canonicalValue(v));
+            appendVarint(w, canonicalValue(v));
         for (const auto &[tag, v] : mem_value_) {
-            w.push_back(tag);
-            w.push_back(canonicalValue(v));
+            appendVarint(w, tag);
+            appendVarint(w, canonicalValue(v));
         }
         for (int32_t v : temp_value_)
-            w.push_back(canonicalValue(v));
+            appendVarint(w, canonicalValue(v));
         for (size_t i = retire_cursor_; i < next_instr_; ++i)
-            w.push_back(instr_uops_left_[i]);
+            appendVarint(w, instr_uops_left_[i]);
+        intptr_t spec = 0;
         for (size_t i = pending_head_; i < pending_uops_.size(); ++i)
-            encodeUop(pending_uops_[i], w);
+            encodeUop(pending_uops_[i], spec, w);
         for (size_t i = retire_head_; i < rob_.size(); ++i)
-            encodeUop(rob_[i], w);
+            encodeUop(rob_[i], spec, w);
     }
 
     static uint64_t
@@ -946,13 +963,7 @@ class KeyWriter
     void
     num(int64_t v)
     {
-        uint64_t z = (static_cast<uint64_t>(v) << 1) ^
-                     static_cast<uint64_t>(v >> 63);
-        while (z >= 0x80) {
-            out_.push_back(static_cast<char>((z & 0x7f) | 0x80));
-            z >>= 7;
-        }
-        out_.push_back(static_cast<char>(z));
+        appendVarint(out_, v);
     }
 
     /** A µop plan: the spec fields the core reads, then sources,

@@ -57,19 +57,23 @@
  * (whole copies, at least 16 instructions) the core snapshots its
  * live state relative to the clock and to the stream position: the
  * body phase, the serializer and in-flight instruction counts, the
- * pending and ROB entries from their heads (spec, instruction offset,
- * dispatch state, remaining time to complete, sources and
- * destinations), the port queues as ROB offsets, scheduler and
- * divider occupancy, the SSE/AVX upper state, the move-elimination
- * phase, and every register, memory and temporary binding. A value is
- * canonical: ready for every consumer, in flight with its remaining
- * latency and domain, or not yet produced and named by its distance
- * from the newest value id (ids are allocated in program order). A
- * cheap summary of the scalars is compared first; a state is encoded
- * in full once its summary repeats. When a state equals an earlier
- * one of the same run, P copies and Δ cycles before, the same body
- * instructions lie ahead of both and nothing the core does depends on
- * absolute positions or times, so the run from here is the run from
+ * pending and ROB entries from their heads (spec, dispatch state,
+ * remaining time to complete, sources and destinations; each µop's
+ * instruction follows from the in-flight instructions' µop counts,
+ * since both are in program order), the port queues as ROB offsets,
+ * scheduler and divider occupancy, the SSE/AVX upper state, the
+ * move-elimination phase, and every register, memory and temporary
+ * binding. A value is canonical: ready for every consumer, in flight
+ * with its remaining latency and domain, or not yet produced and named
+ * by its distance from the newest value id (ids are allocated in
+ * program order). A cheap summary of the scalars is compared first; a
+ * state is encoded in full once its summary repeats, as zigzag varints
+ * with each spec a delta from the previous one (at most about 80 KB of
+ * snapshots per Pipeline on the full sweep, a seventh of fixed 64-bit
+ * words). When a state equals an earlier one of the same run, P copies
+ * and Δ cycles before, the same body instructions lie ahead of both
+ * and nothing the core does depends on absolute positions or times,
+ * so the run from here is the run from
  * there shifted by P copies and Δ cycles, and it repeats while body
  * copies remain. The core then jumps m whole periods: clock, counters,
  * stream position, retire cursor, in-flight instruction indices, ready
