@@ -48,7 +48,7 @@ struct StateSnapshot
     std::array<int64_t, kSummaryWords> summary{};
     uint64_t summary_hash = 0;
     bool encoded = false;
-    std::string words;
+    std::string state;
     size_t next_instr = 0;
     int64_t cycle = 0;
     PerfCounters counters;
@@ -756,6 +756,14 @@ class Core
         return h;
     }
 
+    /** The next snapshot is due at the next stride boundary. */
+    void
+    scheduleSnapshot()
+    {
+        next_snapshot_ = next_instr_ + snapshot_stride_ -
+                         (next_instr_ - body_begin_) % snapshot_stride_;
+    }
+
     /**
      * At the first cycle of a snapshot stride: snapshot the state, and
      * if it repeats an earlier snapshot of this run, jump over whole
@@ -770,8 +778,7 @@ class Core
             next_snapshot_ = std::numeric_limits<size_t>::max();
             return;
         }
-        next_snapshot_ = next_instr_ + snapshot_stride_ -
-                         (next_instr_ - body_begin_) % snapshot_stride_;
+        scheduleSnapshot();
         const size_t taken = snapshots_taken_++;
         StateSnapshot &snap = snapshots_[taken % kSnapshotSlots];
         summarize(snap.summary);
@@ -788,10 +795,10 @@ class Core
                 old.summary != snap.summary)
                 continue;
             if (!snap.encoded) {
-                encodeState(snap.words);
+                encodeState(snap.state);
                 snap.encoded = true;
             }
-            if (old.encoded && old.words == snap.words) {
+            if (old.encoded && old.state == snap.state) {
                 jump(old);
                 return;
             }
@@ -889,8 +896,7 @@ class Core
         counters_.instrs_retired +=
             m * (counters_.instrs_retired - old.counters.instrs_retired);
         skipped_copies_ += shift / static_cast<int64_t>(body_size_);
-        next_snapshot_ = next_instr_ + snapshot_stride_ -
-                         (next_instr_ - body_begin_) % snapshot_stride_;
+        scheduleSnapshot();
     }
 
     // ---- members -----------------------------------------------------
